@@ -275,9 +275,9 @@ let cache_section mode =
 (* ------------------------------------------------------------------ *)
 (* Error path: what the resilience layer costs.  Three numbers on the
    MLP workload:
-   - clean-path overhead of [execute_checked] over raw [execute]
-     (binding validation + the result boundary; pinned < 2% by the
-     validator on full runs),
+   - clean-path overhead of [execute_checked] on the zero-symbol poly
+     over raw [execute] (binding validation + the result boundary;
+     pinned < 2% by the validator on full runs),
    - rejected-input latency: a wrong-shape binding bounced by
      validation before any engine state is touched,
    - degraded-mode throughput when every kernel output is NaN-poisoned
@@ -300,8 +300,9 @@ let error_path_section w =
   let compiled = Core.compile ~config:(config ~fastpath:true ()) w.graph in
   let options = Core.default_exec_options () in
   let raw () = ignore (Core.execute ~reuse_outputs:true compiled w.data) in
+  let poly = Core.as_poly compiled in
   let checked () =
-    match Core.execute_checked ~options ~reuse_outputs:true compiled w.data with
+    match Core.execute_checked ~options ~reuse_outputs:true poly w.data with
     | Ok _ -> ()
     | Error e -> failwith (Core.Errors.to_string e)
   in
@@ -314,7 +315,7 @@ let error_path_section w =
   let bad = Core.Tensor.random Core.Dtype.F32 (Core.Shape.of_list [ 3; 5 ]) in
   let bad_bindings = (x_lt, bad) :: List.tl w.data in
   let reject () =
-    match Core.execute_checked ~options compiled bad_bindings with
+    match Core.execute_checked ~options poly bad_bindings with
     | Error (Core.Errors.Invalid_input _) -> ()
     | Ok _ -> failwith "bad-shape binding accepted"
     | Error e -> failwith (Core.Errors.to_string e)
@@ -327,7 +328,7 @@ let error_path_section w =
   let degraded_opts = { options with Core.sanitize_outputs = true } in
   let fallback () =
     match
-      Core.execute_checked ~options:degraded_opts ~reuse_outputs:true compiled
+      Core.execute_checked ~options:degraded_opts ~reuse_outputs:true poly
         w.data
     with
     | Ok _ -> ()

@@ -573,31 +573,42 @@ let sanitize_outputs outs =
       | _ -> ())
     outs
 
-(* Fallback path: run the caller's original graph through the reference
-   interpreter. User bindings apply directly (the source graph is theirs);
-   compile-time constants that the engine baked into generated code are
-   reconstituted from the logical tensors' properties. *)
-let run_fallback t bindings =
-  let bindings =
-    List.fold_left
-      (fun acc (lt : Logical_tensor.t) ->
-        let bound =
-          List.exists (fun ((l : Logical_tensor.t), _) -> l.id = lt.id) acc
-        in
-        if bound then acc
-        else
-          match lt.property with
-          | Compile_const v -> (lt, v) :: acc
-          | _ -> acc)
-      bindings t.source_graph.Graph.inputs
-  in
+(* An escaping exception as exactly one typed error. [Resource_exhausted]
+   is counted here: its raise sites live below the observability layer
+   (Buffer/faultinject), so the boundary does the counting. *)
+let typed_error ~site = function
+  | Gc_errors.Error e ->
+      (match e with
+      | Gc_errors.Resource_exhausted _ ->
+          Gc_observe.Counters.resource_exhausted ()
+      | _ -> ());
+      e
+  | e ->
+      let backtrace = Printexc.get_backtrace () in
+      Gc_errors.classify ~site ~backtrace e
+
+let contain ~site f =
+  match f () with v -> Ok v | exception e -> Error (typed_error ~site e)
+
+(* The degraded path: run a concrete graph through the reference
+   interpreter. Compile-time constants the engine baked into generated
+   code need no binding — the interpreter reads them off the logical
+   tensors. *)
+let interpret g bindings =
   Gc_observe.Counters.fallback_interp ();
-  Reference.run t.source_graph bindings
+  Reference.run g bindings
 
-type exec_report = { used_fallback : bool; retries_used : int }
+type exec_report = {
+  used_fallback : bool;
+  retries_used : int;
+  compiled_bucket : bool;
+}
 
-let execute_checked_report ?options ?deadline_ms ?(reuse_outputs = false) t
-    bindings =
+(* The containment ladder over one compiled partition: validation and
+   execution under the watchdog, retry on [Runtime_fault], then the
+   reference interpreter on the partition's source graph (user bindings
+   apply directly — the source graph is theirs). *)
+let run_checked ?options ?deadline_ms ~reuse_outputs t bindings =
   let options =
     match options with Some o -> o | None -> default_exec_options ()
   in
@@ -619,9 +630,12 @@ let execute_checked_report ?options ?deadline_ms ?(reuse_outputs = false) t
     | Some ms -> Guard.with_deadline ~timeout_ms:ms ~site:"core.execute" run
     | None -> run ()
   in
+  let report ~fb tries =
+    { used_fallback = fb; retries_used = tries; compiled_bucket = false }
+  in
   let rec go tries =
     match attempt () with
-    | outs -> Ok (outs, { used_fallback = false; retries_used = tries })
+    | outs -> Ok (outs, report ~fb:false tries)
     | exception Gc_errors.Error (Gc_errors.Runtime_fault _ as e) ->
         (* a contained execution fault: the partition is still
            serviceable, so retry (transient faults: a poisoned kernel, a
@@ -631,52 +645,16 @@ let execute_checked_report ?options ?deadline_ms ?(reuse_outputs = false) t
           go (tries + 1)
         end
         else if options.fallback then begin
-          match run_fallback t bindings with
+          match interpret t.source_graph bindings with
           | outs ->
               if options.sanitize_outputs then sanitize_outputs outs;
-              Ok (outs, { used_fallback = true; retries_used = tries })
+              Ok (outs, report ~fb:true tries)
           | exception _ -> Error e
         end
         else Error e
-    | exception Gc_errors.Error e ->
-        (* Resource_exhausted is counted here: its raise sites live below
-           the observability layer (Buffer/faultinject), so the boundary
-           does the counting *)
-        (match e with
-        | Gc_errors.Resource_exhausted _ ->
-            Gc_observe.Counters.resource_exhausted ()
-        | _ -> ());
-        Error e
-    | exception e ->
-        let backtrace = Printexc.get_backtrace () in
-        Error (Gc_errors.classify ~site:"core.execute" ~backtrace e)
+    | exception e -> Error (typed_error ~site:"core.execute" e)
   in
   go 0
-
-let execute_checked ?options ?deadline_ms ?reuse_outputs t bindings =
-  Result.map fst
-    (execute_checked_report ?options ?deadline_ms ?reuse_outputs t bindings)
-
-(* Run the reference-interpreter degraded path directly (no compiled
-   attempt). The serving layer's circuit breaker uses this to short-circuit
-   partitions whose compiled path keeps faulting. *)
-let execute_fallback ?deadline_ms t bindings =
-  let run () = run_fallback t bindings in
-  match
-    match deadline_ms with
-    | Some ms -> Guard.with_deadline ~timeout_ms:ms ~site:"core.fallback" run
-    | None -> run ()
-  with
-  | outs -> Ok outs
-  | exception Gc_errors.Error e ->
-      (match e with
-      | Gc_errors.Resource_exhausted _ ->
-          Gc_observe.Counters.resource_exhausted ()
-      | _ -> ());
-      Error e
-  | exception e ->
-      let backtrace = Printexc.get_backtrace () in
-      Error (Gc_errors.classify ~site:"core.fallback" ~backtrace e)
 
 let compile_checked ?config ?trace g =
   match compile ?config ?trace g with
@@ -1052,7 +1030,6 @@ type poly_instance = {
   pi_core : t;
   pi_subst : (int, Logical_tensor.t) Hashtbl.t;
       (* symbolic graph tensor id -> concrete substituted tensor *)
-  pi_graph : Graph.t; (* the substituted concrete graph *)
 }
 
 type poly = {
@@ -1063,10 +1040,12 @@ type poly = {
   p_syms : string list;
   p_lock : Mutex.t;
   p_instances : (string, poly_instance) Hashtbl.t;
-  p_tune_scope : string;
+  p_tune_scope : string option;
       (* fingerprint of the symbolic source graph: the tuning scope every
          bucketed instance compiles under, so one shape class shares tuned
-         entries across buckets *)
+         entries across buckets; a wrapped static compile's own scope *)
+  p_static : t option;
+      (* [as_poly]: the zero-symbol instance, already compiled *)
 }
 
 let compile_poly ?config ?buckets ?bucket_syms (g : Graph.t) =
@@ -1091,7 +1070,21 @@ let compile_poly ?config ?buckets ?bucket_syms (g : Graph.t) =
     p_syms = syms;
     p_lock = Mutex.create ();
     p_instances = Hashtbl.create 8;
-    p_tune_scope = fingerprint ~config g;
+    p_tune_scope = Some (fingerprint ~config g);
+    p_static = None;
+  }
+
+let as_poly (core : t) =
+  {
+    p_graph = core.source_graph;
+    p_config = core.config;
+    p_buckets = Buckets.default_sizes;
+    p_bucket_syms = [];
+    p_syms = [];
+    p_lock = Mutex.create ();
+    p_instances = Hashtbl.create 1;
+    p_tune_scope = core.tune_scope;
+    p_static = Some core;
   }
 
 let poly_graph p = p.p_graph
@@ -1172,9 +1165,10 @@ let env_key env =
        (fun (s, v) -> s ^ "=" ^ string_of_int v)
        (List.sort compare env))
 
-(* Find or build the compiled instance for a bucketed environment. Lookup
-   under the poly lock, compile outside it (mirroring [compile_cached]):
-   concurrent misses race and the first insert wins. *)
+(* Find or build the compiled instance for a bucketed environment, and
+   whether this call compiled it. Lookup under the poly lock, compile
+   outside it (mirroring [compile_cached]): concurrent misses race and the
+   first insert wins. *)
 let poly_instance p env_bucket =
   let key = env_key env_bucket in
   let cached =
@@ -1186,7 +1180,7 @@ let poly_instance p env_bucket =
   match cached with
   | Some inst ->
       Gc_observe.Counters.bucket_cache_hit ();
-      inst
+      (inst, false)
   | None -> (
       match Graph.substitute ~env:env_bucket p.p_graph with
       | Error e ->
@@ -1202,10 +1196,10 @@ let poly_instance p env_bucket =
              compiled core alive; the cache entry becomes evictable. *)
           let ck = fingerprint ~config:p.p_config g_sub in
           let core =
-            compile_cached ~config:p.p_config ~tune_scope:p.p_tune_scope
+            compile_cached ~config:p.p_config ?tune_scope:p.p_tune_scope
               ~pin:true g_sub
           in
-          let inst = { pi_core = core; pi_subst = subst; pi_graph = g_sub } in
+          let inst = { pi_core = core; pi_subst = subst } in
           Mutex.lock p.p_lock;
           let winner =
             match Hashtbl.find_opt p.p_instances key with
@@ -1218,7 +1212,7 @@ let poly_instance p env_bucket =
           Compile_cache.unpin ck;
           if winner == inst then Gc_observe.Counters.bucket_compile ()
           else Gc_observe.Counters.bucket_cache_hit ();
-          winner)
+          (winner, winner == inst))
 
 let poly_instances p =
   Mutex.lock p.p_lock;
@@ -1227,13 +1221,13 @@ let poly_instances p =
   n
 
 (* Translate caller bindings (symbolic-graph tensors) to the substituted
-   graph's tensors, zero-padding symbolic inputs up to the instance's
-   bucketed shape. Padding is sound only for row-independent (batch-like)
-   symbolic axes — the contract of [bucket_syms]. *)
-let poly_translate_bindings inst bindings =
+   graph's tensors, zero-padding symbolic inputs up to the substituted
+   (bucketed) shape. Padding is sound only for row-independent
+   (batch-like) symbolic axes — the contract of [bucket_syms]. *)
+let poly_translate_bindings subst bindings =
   List.filter_map
     (fun ((lt : Logical_tensor.t), v) ->
-      match Hashtbl.find_opt inst.pi_subst lt.id with
+      match Hashtbl.find_opt subst lt.id with
       | None -> None (* binding for a tensor outside this graph: drop *)
       | Some sub_lt ->
           let target = sub_lt.Logical_tensor.shape in
@@ -1263,89 +1257,63 @@ let poly_slice_outputs p env_actual outs =
       else v)
     p.p_graph.Graph.outputs outs
 
+(* The partition a call runs on, the bindings it runs with, how its
+   outputs map back to the request's shapes, and whether this call
+   compiled the partition. A wrapped static compile is its own instance,
+   run with the caller's bindings untouched: no bucket, no padding, no
+   translation — so bindings against an older graph sharing the artifact
+   (a weights hot swap re-keys it) still resolve through [execute]'s
+   id → slot plan. *)
 let poly_prepare p bindings =
-  let env_actual = poly_env p bindings in
-  let env_bucket = poly_bucket_env p env_actual in
-  let inst = poly_instance p env_bucket in
-  Gc_observe.Counters.pad_waste_rows (poly_pad_waste env_actual env_bucket);
-  (env_actual, inst, poly_translate_bindings inst bindings)
+  match p.p_static with
+  | Some core -> (core, bindings, Fun.id, false)
+  | None ->
+      let env_actual = poly_env p bindings in
+      let env_bucket = poly_bucket_env p env_actual in
+      let inst, compiled = poly_instance p env_bucket in
+      Gc_observe.Counters.pad_waste_rows (poly_pad_waste env_actual env_bucket);
+      ( inst.pi_core,
+        poly_translate_bindings inst.pi_subst bindings,
+        poly_slice_outputs p env_actual,
+        compiled )
 
 let execute_poly ?reuse_outputs p bindings =
-  let env_actual, inst, sub_bindings = poly_prepare p bindings in
-  let outs = execute ?reuse_outputs inst.pi_core sub_bindings in
-  poly_slice_outputs p env_actual outs
+  let core, bindings, finish, _ = poly_prepare p bindings in
+  finish (execute ?reuse_outputs core bindings)
 
-(* Checked variant: the full retry/fallback ladder of
-   [execute_checked_report] runs on the bucketed instance (its reference
-   fallback interprets the substituted concrete graph with the padded
-   bindings, which is execution-equivalent), then outputs are sliced. *)
-let execute_poly_checked_report ?options ?deadline_ms ?reuse_outputs p
+(* The ladder of [run_checked] on the call's instance; a bucketed
+   instance's reference fallback interprets the substituted concrete graph
+   with the padded bindings, which is execution-equivalent. *)
+let execute_checked ?options ?deadline_ms ?(reuse_outputs = false) p
     bindings =
-  match poly_prepare p bindings with
-  | exception Gc_errors.Error e -> Error e
-  | exception e ->
-      let backtrace = Printexc.get_backtrace () in
-      Error (Gc_errors.classify ~site:"core.execute_poly" ~backtrace e)
-  | env_actual, inst, sub_bindings -> (
-      match
-        execute_checked_report ?options ?deadline_ms ?reuse_outputs
-          inst.pi_core sub_bindings
-      with
-      | Ok (outs, report) -> Ok (poly_slice_outputs p env_actual outs, report)
-      | Error e -> Error e)
-
-let execute_poly_checked ?options ?deadline_ms ?reuse_outputs p bindings =
-  Result.map fst
-    (execute_poly_checked_report ?options ?deadline_ms ?reuse_outputs p
-       bindings)
-
-(* Degraded path for the serving layer's circuit breaker: substitute the
-   EXACT environment (no bucket, no padding) and interpret that concrete
-   graph — the reference interpreter never sees padded rows. *)
-let execute_poly_fallback ?deadline_ms p bindings =
-  match
-    let env_actual = poly_env p bindings in
-    match Graph.substitute ~env:env_actual p.p_graph with
-    | Error e ->
-        Error
-          (Gc_errors.Compile_error
-             { stage = "substitute"; what = e; ctx = [] })
-    | Ok (g_sub, subst) ->
-        let sub_bindings =
-          List.filter_map
-            (fun ((lt : Logical_tensor.t), v) ->
-              Option.map
-                (fun sub_lt -> (sub_lt, v))
-                (Hashtbl.find_opt subst lt.id))
-            bindings
-        in
-        let bindings =
-          List.fold_left
-            (fun acc (lt : Logical_tensor.t) ->
-              match lt.Logical_tensor.property with
-              | Compile_const v -> (lt, v) :: acc
-              | _ -> acc)
-            sub_bindings
-            (Graph.all_tensors g_sub)
-        in
-        let run () =
-          Gc_observe.Counters.fallback_interp ();
-          Reference.run g_sub bindings
-        in
-        Ok
-          (match deadline_ms with
-          | Some ms ->
-              Guard.with_deadline ~timeout_ms:ms ~site:"core.poly_fallback" run
-          | None -> run ())
-  with
-  | Ok outs -> Ok outs
+  match contain ~site:"core.execute" (fun () -> poly_prepare p bindings) with
   | Error e -> Error e
-  | exception Gc_errors.Error e ->
-      (match e with
-      | Gc_errors.Resource_exhausted _ ->
-          Gc_observe.Counters.resource_exhausted ()
-      | _ -> ());
-      Error e
-  | exception e ->
-      let backtrace = Printexc.get_backtrace () in
-      Error (Gc_errors.classify ~site:"core.poly_fallback" ~backtrace e)
+  | Ok (core, bindings, finish, compiled_bucket) ->
+      Result.map
+        (fun (outs, report) -> (finish outs, { report with compiled_bucket }))
+        (run_checked ?options ?deadline_ms ~reuse_outputs core bindings)
+
+(* The reference path, skipping the compiled engine: a bucketed poly
+   substitutes the EXACT environment (no bucket, no padding), so the
+   interpreter never sees padded rows. The serving layer's circuit breaker
+   and canary use this. *)
+let execute_fallback ?deadline_ms p bindings =
+  contain ~site:"core.fallback" (fun () ->
+      let g, bindings =
+        match p.p_static with
+        | Some core -> (core.source_graph, bindings)
+        | None -> (
+            match Graph.substitute ~env:(poly_env p bindings) p.p_graph with
+            | Error e ->
+                raise
+                  (Gc_errors.Error
+                     (Gc_errors.Compile_error
+                        { stage = "substitute"; what = e; ctx = [] }))
+            | Ok (g_sub, subst) ->
+                (g_sub, poly_translate_bindings subst bindings))
+      in
+      match deadline_ms with
+      | Some ms ->
+          Guard.with_deadline ~timeout_ms:ms ~site:"core.fallback" (fun () ->
+              interpret g bindings)
+      | None -> interpret g bindings)

@@ -154,49 +154,17 @@ type exec_options = {
 
 val default_exec_options : unit -> exec_options
 
-(** [execute_checked t bindings] is {!execute} with the full containment
-    ladder: bindings are validated (arity, shape, dtype, layout) before
-    any engine state is touched; execution runs under the watchdog
-    deadline; a [Runtime_fault] is retried and then degraded to the
-    reference interpreter; every failure class maps to exactly one
-    [Errors.error]. [Invalid_input], [Compile_error], [Timeout] and
-    [Resource_exhausted] are never retried — they are deterministic or
-    resource-bound, so a retry cannot help.
-
-    [deadline_ms] overrides [options.timeout_ms] (and hence
-    [GC_EXEC_TIMEOUT_MS]) for this call only: the serving layer passes
-    each request's remaining deadline here so the watchdog enforces it. *)
-val execute_checked :
-  ?options:exec_options ->
-  ?deadline_ms:int ->
-  ?reuse_outputs:bool ->
-  t ->
-  (Logical_tensor.t * Tensor.t) list ->
-  (Tensor.t list, Errors.error) result
-
-(** What the containment ladder actually did for a successful execute:
-    whether the result came from the reference-interpreter fallback, and
-    how many retries were burned first. The serving layer's circuit
-    breaker feeds on this. *)
-type exec_report = { used_fallback : bool; retries_used : int }
-
-(** {!execute_checked}, additionally reporting the ladder's path. *)
-val execute_checked_report :
-  ?options:exec_options ->
-  ?deadline_ms:int ->
-  ?reuse_outputs:bool ->
-  t ->
-  (Logical_tensor.t * Tensor.t) list ->
-  (Tensor.t list * exec_report, Errors.error) result
-
-(** Run the reference-interpreter degraded path directly, skipping the
-    compiled engine entirely (counted as [fallback_interp]). Used by the
-    serving layer when a partition's circuit breaker is open. *)
-val execute_fallback :
-  ?deadline_ms:int ->
-  t ->
-  (Logical_tensor.t * Tensor.t) list ->
-  (Tensor.t list, Errors.error) result
+(** What the containment ladder did for a successful {!execute_checked}:
+    whether the result came from the reference-interpreter fallback, how
+    many retries were burned first, and whether this call compiled a
+    bucketed instance (its latency then includes a compile — the serving
+    layer keeps such calls out of its latency estimate). The serving
+    layer's circuit breaker feeds on this. *)
+type exec_report = {
+  used_fallback : bool;
+  retries_used : int;
+  compiled_bucket : bool;
+}
 
 (** [compile_checked g] is {!compile} with every failure returned as a
     typed [Compile_error] (or the original typed error for boundary
@@ -326,6 +294,11 @@ val reference : Graph.t -> (Logical_tensor.t * Tensor.t) list -> Tensor.t list
 
 (** {1 Shape-polymorphic compilation: bucketed specialization}
 
+    Every artifact is a static-shape specialization, so a [poly] is a set
+    of them and a static compile is the set with one member ({!as_poly}).
+    {!execute_checked} and {!execute_fallback} take a [poly] and serve
+    both.
+
     A graph with symbolic dims ({!Gc_graph_ir.Dim.Sym}) compiles once per
     {e bucketed} symbol environment instead of once per exact shape: the
     request's symbol sizes are rounded up to a bucket ladder (default
@@ -366,14 +339,22 @@ type poly
 val compile_poly :
   ?config:config -> ?buckets:int list -> ?bucket_syms:string list -> Graph.t -> poly
 
+(** [as_poly t] wraps an already-compiled partition as a poly with zero
+    symbols, without recompiling: [t] is its only instance, executed with
+    the caller's bindings as they are — no bucketing, padding or binding
+    translation, and no [bucket_compiles] / [bucket_cache_hits] /
+    [pad_waste_rows] counted. Its {!poly_tune_scope} is {!tune_scope}[ t]. *)
+val as_poly : t -> poly
+
 val poly_graph : poly -> Graph.t
 val poly_syms : poly -> string list
 val poly_buckets : poly -> Buckets.t
 val poly_bucket_syms : poly -> string list
 
-val poly_tune_scope : poly -> string
+val poly_tune_scope : poly -> string option
 (** Tuning scope shared by every bucketed instance: the fingerprint of
-    the symbolic source graph. *)
+    the symbolic source graph. For {!as_poly}, the wrapped partition's
+    {!tune_scope}. *)
 
 val poly_instances : poly -> int
 (** Number of bucketed instances compiled so far. *)
@@ -396,10 +377,23 @@ val execute_poly :
   (Logical_tensor.t * Tensor.t) list ->
   Tensor.t list
 
-(** {!execute_checked_report} over the bucketed instance: watchdog,
-    retry, reference fallback (interpreting the substituted concrete
-    graph with the padded bindings), outputs sliced back. *)
-val execute_poly_checked_report :
+(** [execute_checked p bindings] is {!execute_poly} with the full
+    containment ladder: bindings are validated (arity, shape, dtype,
+    layout) before any engine state is touched; execution runs under the
+    watchdog deadline; a [Runtime_fault] is retried and then degraded to
+    the reference interpreter (for a bucketed instance, interpreting the
+    substituted concrete graph with the padded bindings); every failure
+    class maps to exactly one [Errors.error]. [Invalid_input],
+    [Compile_error], [Timeout] and [Resource_exhausted] are never retried —
+    they are deterministic or resource-bound, so a retry cannot help.
+
+    [deadline_ms] overrides [options.timeout_ms] (and hence
+    [GC_EXEC_TIMEOUT_MS]) for this call only: the serving layer passes
+    each request's remaining deadline here so the watchdog enforces it.
+
+    For a static compile, wrap it once with {!as_poly}:
+    [execute_checked (as_poly compiled) bindings]. *)
+val execute_checked :
   ?options:exec_options ->
   ?deadline_ms:int ->
   ?reuse_outputs:bool ->
@@ -407,18 +401,12 @@ val execute_poly_checked_report :
   (Logical_tensor.t * Tensor.t) list ->
   (Tensor.t list * exec_report, Errors.error) result
 
-val execute_poly_checked :
-  ?options:exec_options ->
-  ?deadline_ms:int ->
-  ?reuse_outputs:bool ->
-  poly ->
-  (Logical_tensor.t * Tensor.t) list ->
-  (Tensor.t list, Errors.error) result
-
-(** Degraded path: substitute the {e exact} environment (no bucket, no
-    padding) and run the reference interpreter on that concrete graph.
-    The serving layer's circuit breaker uses this. *)
-val execute_poly_fallback :
+(** The reference-interpreter degraded path, skipping the compiled engine
+    entirely (counted as [fallback_interp]). A bucketed poly substitutes
+    the {e exact} environment (no bucket, no padding); a wrapped static
+    compile interprets its source graph. The serving layer uses this while
+    a handle's circuit breaker is open or its artifact is quarantined. *)
+val execute_fallback :
   ?deadline_ms:int ->
   poly ->
   (Logical_tensor.t * Tensor.t) list ->

@@ -321,6 +321,16 @@ let retire t name =
             true
           end)
 
+(* Wait until none of the model's requests is queued or executing. The
+   caller holds the flight lock, which [submit] takes, so nothing new is
+   admitted meanwhile: a request bound to the old graph that ran after a
+   weights swap would re-run the constant init with the old weights, and
+   every later request would silently get them. *)
+let quiesce t m =
+  while (Gc_serve.handle_stats t.rg_server m.md_handle).hs_pending > 0 do
+    Unix.sleepf 0.001
+  done
+
 let hot_swap ?config t ~name graph =
   match find_opt t name with
   | None -> Error (unknown_model name)
@@ -332,6 +342,7 @@ let hot_swap ?config t ~name graph =
           if locked t.rg_mu (fun () -> m.md_status) = Retired then
             Error (retired_model name)
           else begin
+            quiesce t m;
             let config = Option.value config ~default:m.md_config in
             let new_key = Core.fingerprint ~config graph in
             let same_artifact =

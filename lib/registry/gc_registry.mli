@@ -38,9 +38,11 @@
     lock (skipping busy victims), so concurrent reloads that park each
     other's tenants cannot deadlock.
 
-    The registry manages monomorphic models. Shape-polymorphic handles
-    ([Gc_serve.register_poly]) remain direct serve-tier clients — their
-    in-flight specializations pin their own cache entries. *)
+    A registry model is one static compile, served as a zero-symbol
+    [Core.poly] ([Core.as_poly]) like every serve handle. Bucketed
+    shape-polymorphic handles ([Gc_serve.register_poly]) remain direct
+    serve-tier clients — their in-flight specializations pin their own
+    cache entries. *)
 
 module Errors = Core.Errors
 
@@ -78,6 +80,9 @@ val load :
   (unit, Errors.error) result
 
 (** [hot_swap t ~name graph] replaces the model's graph, bumping its
+    version. It first waits, holding the model's flight lock (so
+    {!submit} for it blocks), until none of its requests is queued or
+    executing: requests admitted before the swap run against the old
     version. Same fingerprint and resident: constants-invalidation
     behind the live handle. Otherwise: compile-then-rebind; the old
     cache entry is unpinned and evicted. [config] defaults to the

@@ -24,17 +24,23 @@ type config = {
   backoff_cap_ms : float;
   breaker_threshold : int;
   breaker_cooldown_ms : float;
-  ewma_alpha : float;
-  safety_factor : float;
   seed : int;
-  sanitize_outputs : bool;
   coalesce_window_ms : float;
   max_coalesce : int;
   retune_factor : float;
   retune_min_samples : int;
-  quota_borrow : float;
   supervision : Supervise.policy;
 }
+
+(* Latency EWMA smoothing. *)
+let ewma_alpha = 0.2
+
+(* Admission feasibility margin on the EWMA estimate. *)
+let safety_factor = 1.5
+
+(* A model may queue past its weighted share only while the whole queue
+   is under this fraction of the effective depth. *)
+let quota_borrow = 0.5
 
 let env_int name default =
   match Option.bind (Sys.getenv_opt name) int_of_string_opt with
@@ -62,16 +68,12 @@ let default_config () =
     breaker_threshold = env_int "GC_SERVE_BREAKER_THRESHOLD" 5;
     breaker_cooldown_ms =
       float_of_int (env_int "GC_SERVE_BREAKER_COOLDOWN_MS" 100);
-    ewma_alpha = 0.2;
-    safety_factor = 1.5;
     seed = 0;
-    sanitize_outputs = false;
     coalesce_window_ms =
       float_of_int (env_int "GC_SERVE_COALESCE_MS" 0) (* 0 = off *);
     max_coalesce = env_int "GC_SERVE_MAX_COALESCE" 8;
     retune_factor = env_float "GC_SERVE_RETUNE_FACTOR" 2.0;
     retune_min_samples = env_int "GC_SERVE_RETUNE_MIN_SAMPLES" 8;
-    quota_borrow = env_float "GC_SERVE_QUOTA_BORROW" 0.5;
     supervision = Supervise.default_policy ();
   }
 
@@ -85,19 +87,20 @@ type ticket = {
 
 type breaker_state = Closed | Open | Half_open
 
-(* What a handle executes: a monomorphic compiled partition, or a
-   shape-polymorphic compilation. A poly handle additionally carries its
-   coalescing symbol — the batch-like symbol along which in-flight
-   requests may be concatenated into one execution — or [None] when the
-   graph's shape doesn't admit coalescing (see [coalesce_sym_of]).
-   [Unbound] is a parked model: the registry dropped the artifact under
-   budget pressure and will rebind on re-admission; traffic meanwhile
-   resolves [Invalid_input] (the registry's residency path prevents it). *)
-type target = Mono of Core.t | Poly of Core.poly * string option | Unbound
+(* What a handle executes: one polymorphic compilation (a static compile
+   is one with zero symbols, see [Core.as_poly]) and its coalescing
+   symbol — the batch-like symbol along which in-flight requests may be
+   concatenated into one execution, [None] when the graph's shape doesn't
+   admit coalescing (see [coalesce_sym_of]). *)
+type target = { tg_poly : Core.poly; tg_coalesce : string option }
 
 type handle = {
   h_name : string;
-  mutable h_target : target;  (* guarded by h_mu; rebind on hot-swap/park *)
+  mutable h_target : target option;
+      (* guarded by h_mu; rebind on hot-swap/park. [None] is a parked
+         model: the registry dropped the artifact under budget pressure
+         and will rebind on re-admission; traffic meanwhile resolves
+         [Invalid_input] (the registry's residency path prevents it). *)
   h_weight : float;  (* weighted-fair admission share (immutable) *)
   h_mu : Mutex.t;
   mutable h_ewma_ms : float option;
@@ -122,6 +125,7 @@ type handle = {
   mutable h_next_canary : float;
   (* per-model admission tallies (all guarded by t.mu) *)
   mutable h_queued : int;  (* requests of this handle currently queued *)
+  mutable h_pending : int;  (* admitted and not yet resolved *)
   mutable h_submitted : int;
   mutable h_admitted : int;
   mutable h_ok : int;
@@ -136,8 +140,8 @@ type request = {
   rq_deadline : float option;  (* absolute, Unix.gettimeofday seconds *)
   rq_deadline_ms : int option;  (* the original relative deadline *)
   rq_env : (string * int) list option;
-      (* resolved symbol environment of a poly request (its shape class);
-         [None] for mono handles or unresolvable bindings *)
+      (* resolved symbol environment of a request to a coalescing handle
+         (its shape class); [None] otherwise or when unresolvable *)
   rq_ticket : ticket;
 }
 
@@ -234,11 +238,12 @@ let peek tk = locked tk.tk_mu (fun () -> tk.tk_result)
    it concurrently). *)
 let target_of h = locked h.h_mu (fun () -> h.h_target)
 
-let is_bound h = target_of h <> Unbound
+let is_bound h = Option.is_some (target_of h)
 
 let record_outcome t h (outcome : outcome) ~used_fallback =
   locked t.mu (fun () ->
       t.s_completed <- t.s_completed + 1;
+      h.h_pending <- h.h_pending - 1;
       if used_fallback then t.s_fallbacks <- t.s_fallbacks + 1;
       match outcome with
       | Ok _ ->
@@ -326,10 +331,7 @@ let note_fallback cfg h =
 (* The tuning scope the handle's compiled code keys under — what an
    online demotion drops from the tuning DB. *)
 let tune_scope_of h =
-  match target_of h with
-  | Mono core -> Core.tune_scope core
-  | Poly (p, _) -> Some (Core.poly_tune_scope p)
-  | Unbound -> None
+  Option.bind (target_of h) (fun tg -> Core.poly_tune_scope tg.tg_poly)
 
 let note_latency cfg h dt_ms =
   (* EWMA update and the demotion decision under the handle lock; the
@@ -341,7 +343,7 @@ let note_latency cfg h dt_ms =
         let e =
           match h.h_ewma_ms with
           | None -> dt_ms
-          | Some e -> (cfg.ewma_alpha *. dt_ms) +. ((1. -. cfg.ewma_alpha) *. e)
+          | Some e -> (ewma_alpha *. dt_ms) +. ((1. -. ewma_alpha) *. e)
         in
         h.h_ewma_ms <- Some e;
         h.h_lat_samples <- h.h_lat_samples + 1;
@@ -370,6 +372,13 @@ let note_latency cfg h dt_ms =
         Counters.retune_triggered ();
         ignore (Gc_tuning.Autotune.demote_scope scope)
     | None -> ()
+
+(* A call that compiled a bucketed instance measured the compile, not the
+   execute: it would seed the EWMA with compile time and admission would
+   then refuse short deadlines as unmeetable, so it is left out. *)
+let note_execute_latency cfg h (report : Core.exec_report) t0 =
+  if not report.compiled_bucket then
+    note_latency cfg h ((now () -. t0) *. 1000.)
 
 let breaker_state h = locked h.h_mu (fun () -> h.h_state)
 let ewma_ms h = locked h.h_mu (fun () -> h.h_ewma_ms)
@@ -443,36 +452,29 @@ let backoff_sleep cfg rng ~prev_ms ~remaining =
   if ms > 0. then Unix.sleepf (ms /. 1000.);
   Float.max ms cfg.backoff_base_ms
 
-let exec_options cfg =
-  { (Core.default_exec_options ()) with
-    Core.retries = 0;
-    fallback = false;
-    sanitize_outputs = cfg.sanitize_outputs;
-  }
+let exec_options () =
+  { (Core.default_exec_options ()) with Core.retries = 0; fallback = false }
 
-(* Target-dispatched execution: the checked compiled path and the
-   interpreter degraded path, each for both handle kinds. A request that
-   reaches execution on an [Unbound] handle (the registry parks only idle
-   models, so this is belt and braces) resolves typed, never raises. *)
-let unbound_error h =
-  Errors.Invalid_input
-    {
-      what = "model is not resident (parked or retired)";
-      ctx = [ ("handle", h.h_name) ];
-    }
-
-let exec_checked ~options ?deadline_ms h bindings =
+(* Run [f] on the handle's compilation. A request that reaches execution
+   on a parked handle (the registry parks only idle models, so this is
+   belt and braces) resolves typed, never raises. *)
+let with_target h f =
   match target_of h with
-  | Mono core -> Core.execute_checked_report ~options ?deadline_ms core bindings
-  | Poly (p, _) ->
-      Core.execute_poly_checked_report ~options ?deadline_ms p bindings
-  | Unbound -> Error (unbound_error h)
+  | Some tg -> f tg.tg_poly
+  | None ->
+      Error
+        (Errors.Invalid_input
+           {
+             what = "model is not resident (parked or retired)";
+             ctx = [ ("handle", h.h_name) ];
+           })
+
+let exec_checked ?deadline_ms h bindings =
+  with_target h (fun p ->
+      Core.execute_checked ~options:(exec_options ()) ?deadline_ms p bindings)
 
 let exec_fallback ?deadline_ms h bindings =
-  match target_of h with
-  | Mono core -> Core.execute_fallback ?deadline_ms core bindings
-  | Poly (p, _) -> Core.execute_poly_fallback ?deadline_ms p bindings
-  | Unbound -> Error (unbound_error h)
+  with_target h (fun p -> Core.execute_fallback ?deadline_ms p bindings)
 
 let run_fallback_path t rq ~via =
   let h = rq.rq_handle in
@@ -498,17 +500,13 @@ let process t rq =
       (* the latest bindings the compiled path sees double as the canary's
          probe input should this artifact be quarantined later *)
       locked h.h_mu (fun () -> h.h_probe <- Some rq.rq_bindings);
-      let opts = exec_options cfg in
       let rec attempt tries prev_ms =
         if expired rq then (Error (timeout_error ~site:"serve.retry" rq), false)
         else begin
           let t0 = now () in
-          match
-            exec_checked ~options:opts ?deadline_ms:(remaining_ms rq) h
-              rq.rq_bindings
-          with
-          | Ok (outs, _) ->
-              note_latency cfg h ((now () -. t0) *. 1000.);
+          match exec_checked ?deadline_ms:(remaining_ms rq) h rq.rq_bindings with
+          | Ok (outs, report) ->
+              note_execute_latency cfg h report t0;
               note_compiled_success h;
               (Ok outs, false)
           | Error (Errors.Runtime_fault _) when tries < cfg.max_retries ->
@@ -541,6 +539,7 @@ let shed_expired_in_queue t rq =
       t.s_overloaded <- t.s_overloaded + 1;
       t.s_shed_expired <- t.s_shed_expired + 1;
       t.s_completed <- t.s_completed + 1;
+      rq.rq_handle.h_pending <- rq.rq_handle.h_pending - 1;
       rq.rq_handle.h_shed <- rq.rq_handle.h_shed + 1;
       Gc_observe.Labels.incr ~label:rq.rq_handle.h_name "shed");
   Counters.serve_shed_expired ();
@@ -630,12 +629,12 @@ let extract_compatible t p ~sym base env room =
 
 (* Latest moment [rq] may still be dispatched without predictably missing
    its deadline, given the handle's latency estimate. *)
-let safe_start cfg h rq =
+let safe_start h rq =
   match rq.rq_deadline with
   | None -> infinity
   | Some dl -> (
       match ewma_ms h with
-      | Some e -> dl -. (e *. cfg.safety_factor /. 1000.)
+      | Some e -> dl -. (e *. safety_factor /. 1000.)
       | None -> now () (* no estimate yet: deadline-bearing work is not held *))
 
 let gather_window t p ~sym base env =
@@ -643,7 +642,7 @@ let gather_window t p ~sym base env =
   let h = base.rq_handle in
   let taken = ref [ base ] in
   let window_end = ref (now () +. (cfg.coalesce_window_ms /. 1000.)) in
-  let clamp rq = window_end := Float.min !window_end (safe_start cfg h rq) in
+  let clamp rq = window_end := Float.min !window_end (safe_start h rq) in
   clamp base;
   let rec loop () =
     let room = cfg.max_coalesce - List.length !taken in
@@ -707,13 +706,10 @@ let run_coalesced t p ~sym base env =
         try
           let bindings = batch_bindings p base rqs in
           let t0 = now () in
-          let r =
-            exec_checked ~options:(exec_options cfg)
-              ?deadline_ms:(min_remaining_ms rqs) h bindings
-          in
+          let r = exec_checked ?deadline_ms:(min_remaining_ms rqs) h bindings in
           (match r with
-          | Ok _ ->
-              note_latency cfg h ((now () -. t0) *. 1000.);
+          | Ok (_, report) ->
+              note_execute_latency cfg h report t0;
               note_compiled_success h
           | Error _ -> ());
           r
@@ -753,7 +749,7 @@ let coalesce_plan t rq =
       | Some r ->
           let predicted =
             match ewma_ms rq.rq_handle with
-            | Some e -> e *. t.cfg.safety_factor
+            | Some e -> e *. safety_factor
             | None -> 0.
           in
           float_of_int r < t.cfg.coalesce_window_ms +. predicted
@@ -761,8 +757,9 @@ let coalesce_plan t rq =
     if too_tight then None
     else
       match (target_of rq.rq_handle, rq.rq_env) with
-      | Poly (p, Some sym), Some env when breaker_state rq.rq_handle = Closed ->
-          Some (p, sym, env)
+      | Some { tg_poly; tg_coalesce = Some sym }, Some env
+        when breaker_state rq.rq_handle = Closed ->
+          Some (tg_poly, sym, env)
       | _ -> None
 
 (* Workers are bound to the slot epoch they were spawned under: the
@@ -940,7 +937,7 @@ let run_canary t h =
       let pol = t.cfg.supervision in
       let verdict =
         try
-          match exec_checked ~options:(exec_options t.cfg) h bindings with
+          match exec_checked h bindings with
           | Error e -> Error (Errors.to_string e)
           | Ok (outs, _) -> (
               match exec_fallback h bindings with
@@ -1060,8 +1057,9 @@ let submit ?deadline_ms t h bindings =
   in
   let rq_env =
     match target_of h with
-    | Mono _ | Unbound -> None
-    | Poly (p, _) -> ( try Some (Core.poly_env p bindings) with _ -> None)
+    | Some { tg_poly; tg_coalesce = Some _ } -> (
+        try Some (Core.poly_env tg_poly bindings) with _ -> None)
+    | _ -> None
   in
   let rq =
     {
@@ -1120,8 +1118,7 @@ let submit ?deadline_ms t h bindings =
               in
               let share = max 1 (int_of_float (floor share)) in
               h.h_queued >= share
-              && float_of_int qlen
-                 >= t.cfg.quota_borrow *. float_of_int eff
+              && float_of_int qlen >= quota_borrow *. float_of_int eff
             in
             if over_quota then begin
               t.s_overloaded <- t.s_overloaded + 1;
@@ -1147,7 +1144,7 @@ let submit ?deadline_ms t h bindings =
                 match (deadline_ms, ewma_ms h) with
                 | Some ms, Some ewma ->
                     let predicted =
-                      ewma *. float_of_int (qlen + 1) *. t.cfg.safety_factor
+                      ewma *. float_of_int (qlen + 1) *. safety_factor
                     in
                     if float_of_int ms < predicted then Some (ewma, predicted)
                     else None
@@ -1169,6 +1166,7 @@ let submit ?deadline_ms t h bindings =
                   t.s_admitted <- t.s_admitted + 1;
                   h.h_admitted <- h.h_admitted + 1;
                   h.h_queued <- h.h_queued + 1;
+                  h.h_pending <- h.h_pending + 1;
                   Gc_observe.Labels.incr ~label:h.h_name "admitted";
                   Queue.push rq t.queue;
                   Condition.signal t.cv_work;
@@ -1293,6 +1291,7 @@ let mk_handle ?name ?(weight = 1.) t target =
       h_probe = None;
       h_next_canary = 0.;
       h_queued = 0;
+      h_pending = 0;
       h_submitted = 0;
       h_admitted = 0;
       h_ok = 0;
@@ -1305,8 +1304,6 @@ let mk_handle ?name ?(weight = 1.) t target =
       t.handles <- h :: t.handles;
       t.total_weight <- t.total_weight +. weight);
   h
-
-let register ?name ?weight t core = mk_handle ?name ?weight t (Mono core)
 
 (* A poly handle coalesces along symbol [s] iff every output and every
    symbolic input carries [s] on axis 0 (and nowhere else), so
@@ -1342,8 +1339,10 @@ let coalesce_sym_of p =
       then Some s
       else None
 
-let register_poly ?name ?weight t p =
-  mk_handle ?name ?weight t (Poly (p, coalesce_sym_of p))
+let poly_target p = Some { tg_poly = p; tg_coalesce = coalesce_sym_of p }
+let register_poly ?name ?weight t p = mk_handle ?name ?weight t (poly_target p)
+let register ?name ?weight t core =
+  register_poly ?name ?weight t (Core.as_poly core)
 
 let compile_and_register ?config ?name ?weight t g =
   Result.map (register ?name ?weight t) (Core.compile_checked ?config g)
@@ -1368,9 +1367,8 @@ let set_target t h target =
       h.h_probe <- None;
       h.h_next_canary <- 0.)
 
-let rebind t h core = set_target t h (Mono core)
-let rebind_poly t h p = set_target t h (Poly (p, coalesce_sym_of p))
-let unbind t h = set_target t h Unbound
+let rebind t h core = set_target t h (poly_target (Core.as_poly core))
+let unbind t h = set_target t h None
 
 (* Drop the handle from the canary sweep and the fair-share total. The
    handle itself stays usable by anyone still holding it (submissions
@@ -1446,6 +1444,7 @@ type handle_stats = {
   hs_shed : int;
   hs_quota_shed : int;
   hs_queued : int;
+  hs_pending : int;
   hs_bound : bool;
   hs_quarantined : bool;
   hs_breaker : breaker_state;
@@ -1456,10 +1455,10 @@ let handle_name h = h.h_name
 let handle_weight h = h.h_weight
 
 let handle_stats t h =
-  let submitted, admitted, ok, shed, quota_shed, queued =
+  let submitted, admitted, ok, shed, quota_shed, queued, pending =
     locked t.mu (fun () ->
         (h.h_submitted, h.h_admitted, h.h_ok, h.h_shed, h.h_quota_shed,
-         h.h_queued))
+         h.h_queued, h.h_pending))
   in
   locked h.h_mu (fun () ->
       {
@@ -1471,7 +1470,8 @@ let handle_stats t h =
         hs_shed = shed;
         hs_quota_shed = quota_shed;
         hs_queued = queued;
-        hs_bound = h.h_target <> Unbound;
+        hs_pending = pending;
+        hs_bound = Option.is_some h.h_target;
         hs_quarantined = h.h_quarantined;
         hs_breaker = h.h_state;
         hs_ewma_ms = h.h_ewma_ms;
@@ -1500,6 +1500,7 @@ let drain ?(deadline_ms = 1000) t =
             List.iter
               (fun rq ->
                 rq.rq_handle.h_queued <- rq.rq_handle.h_queued - 1;
+                rq.rq_handle.h_pending <- rq.rq_handle.h_pending - 1;
                 rq.rq_handle.h_shed <- rq.rq_handle.h_shed + 1;
                 Gc_observe.Labels.incr ~label:rq.rq_handle.h_name "shed")
               rqs;

@@ -15,8 +15,9 @@
     - the bounded queue is full (its {e effective} depth shrinks under
       memory-budget backpressure, see below);
     - the request's deadline is provably unmeetable: the serving layer
-      keeps an EWMA of recent per-handle execute latencies and rejects
-      when [remaining < ewma * (queue_len + 1) * safety_factor];
+      keeps an EWMA (smoothing 0.2) of recent per-handle execute
+      latencies — calls that compiled a bucketed instance are left out —
+      and rejects when [remaining < ewma * (queue_len + 1) * 1.5];
     - the server is draining or shut down.
 
     Requests whose deadline expires {e while queued} are shed before
@@ -60,7 +61,7 @@
     along the batch axis, executes {e once} through the bucketed
     instance, and splits the outputs back per ticket. The window is
     clamped so it never extends past any gathered ticket's deadline minus
-    the handle's EWMA execute estimate times [safety_factor] — gathering
+    the handle's EWMA execute estimate times 1.5 — gathering
     must not cause a deadline miss ([window_deadline_violations] in
     {!Gc_observe.Counters} counts the residual cases; tests pin it to
     zero). A failed batch re-runs every ticket solo, so one poisoned
@@ -98,12 +99,7 @@ type config = {
   breaker_cooldown_ms : float;
       (** open-state dwell before a half-open probe
           ([GC_SERVE_BREAKER_COOLDOWN_MS], 100 ms) *)
-  ewma_alpha : float;  (** latency EWMA smoothing (0.2) *)
-  safety_factor : float;
-      (** admission feasibility margin on the EWMA estimate (1.5) *)
   seed : int;  (** backoff-jitter determinism (0) *)
-  sanitize_outputs : bool;
-      (** scan float outputs for NaN/Inf (see {!Core.exec_options}) *)
   coalesce_window_ms : float;
       (** gather window for request coalescing on poly handles
           ([GC_SERVE_COALESCE_MS]; 0 = coalescing off) *)
@@ -120,13 +116,6 @@ type config = {
       (** completions a handle must accumulate (since the last demotion)
           before the retune detector may fire, so a cold-start outlier
           cannot demote a schedule ([GC_SERVE_RETUNE_MIN_SAMPLES], 8) *)
-  quota_borrow : float;
-      (** weighted-fair admission quotas: a model may queue past its
-          share of the effective depth (share = depth × weight / total
-          weight, at least 1) only while the whole queue is under
-          [quota_borrow × depth] — slack capacity is borrowable, but a
-          flooding tenant cannot starve others' slots once the queue
-          fills ([GC_SERVE_QUOTA_BORROW], 0.5) *)
   supervision : Gc_supervise.policy;
       (** self-healing policy: worker heartbeat staleness, restart budget
           and backoff, artifact quarantine and canary cadence (defaults
@@ -144,18 +133,23 @@ val default_config : unit -> config
 
 type t
 
-(** A registered compiled partition plus its serving state (latency EWMA,
-    circuit breaker). *)
+(** A registered compilation plus its serving state (latency EWMA,
+    circuit breaker). It holds one {!Core.poly} — a static compile is one
+    with zero symbols — or nothing while parked. *)
 type handle
 
 (** [create ()] starts the worker domains. Raises [Invalid_input] on a
     non-positive queue depth or worker count. *)
 val create : ?config:config -> unit -> t
 
-(** Register an already-compiled partition. [name] appears in error
-    context and stats; [weight] (default 1, must be positive) is the
-    model's weighted-fair admission share — see [quota_borrow]. Raises
-    [Invalid_input] on a non-positive weight. *)
+(** Register an already-compiled partition: {!register_poly} of
+    {!Core.as_poly}. [name] appears in error context and stats; [weight]
+    (default 1, must be positive) is the model's weighted-fair admission
+    share: a model may queue past its share of the effective depth
+    (share = depth × weight / total weight, at least 1) only while the
+    whole queue is under half the effective depth — slack capacity is
+    borrowable, but a flooding tenant cannot starve others' slots once
+    the queue fills. Raises [Invalid_input] on a non-positive weight. *)
 val register : ?name:string -> ?weight:float -> t -> Core.t -> handle
 
 (** Register a shape-polymorphic compilation ({!Core.compile_poly}):
@@ -186,10 +180,6 @@ val compile_and_register :
 
 (** Atomically point the handle at a new compiled partition. *)
 val rebind : t -> handle -> Core.t -> unit
-
-(** Atomically point the handle at a new polymorphic compilation (the
-    coalescing symbol is re-derived). *)
-val rebind_poly : t -> handle -> Core.poly -> unit
 
 (** Park the handle: requests reaching execution resolve
     [Invalid_input] ("model is not resident") — callers are expected to
@@ -304,6 +294,7 @@ type handle_stats = {
   hs_shed : int;  (** all Overloaded outcomes charged to the model *)
   hs_quota_shed : int;  (** subset of [hs_shed]: over weighted share *)
   hs_queued : int;  (** currently queued *)
+  hs_pending : int;  (** admitted and not yet resolved: queued or executing *)
   hs_bound : bool;  (** holds a compiled target (not parked) *)
   hs_quarantined : bool;
   hs_breaker : breaker_state;

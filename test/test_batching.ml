@@ -250,15 +250,27 @@ let test_execute_poly_mha_seq_exact () =
 
 let test_execute_poly_checked_and_fallback () =
   let built = sym_mlp ~batch:6 () in
+  let compiled_bucket p =
+    match Core.execute_checked p built.data with
+    | Ok (_, report) -> report.Core.compiled_bucket
+    | Error e -> Alcotest.fail (Core.Errors.to_string e)
+  in
+  (* the report says which call compiled the bucket *)
+  let fresh = Core.compile_poly ~buckets:[ 6 ] built.graph in
+  Alcotest.(check bool) "first call compiles" true (compiled_bucket fresh);
+  Alcotest.(check bool) "second call does not" false (compiled_bucket fresh);
   let p = Core.compile_poly built.graph in
   let want = Core.execute_poly p built.data in
-  (match Core.execute_poly_checked p built.data with
-  | Ok got ->
+  (match Core.execute_checked p built.data with
+  | Ok (got, report) ->
       List.iter2
         (fun g w -> Alcotest.(check bool) "checked identical" true (Tensor.equal g w))
-        got want
+        got want;
+      Alcotest.(check bool) "bucket already compiled" false
+        report.Core.compiled_bucket;
+      Alcotest.(check bool) "compiled path" false report.Core.used_fallback
   | Error e -> Alcotest.fail (Core.Errors.to_string e));
-  match Core.execute_poly_fallback p built.data with
+  match Core.execute_fallback p built.data with
   | Ok got ->
       List.iter2
         (fun g w ->
@@ -288,6 +300,107 @@ let test_poly_env_validation () =
        ignore (Core.poly_env p bad);
        false
      with _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* QCheck: a static compile wrapped as a zero-symbol poly ([Core.as_poly])
+   runs its own artifact with the caller's bindings: the same outputs as
+   [Core.execute], no bucket machinery, no second compile. *)
+
+let zero_sym_seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some s -> s
+  | None ->
+      Random.self_init ();
+      Random.int 1_000_000_000
+
+(* A static MLP or DLRM graph, f32 or int8, with the reference-path
+   tolerances test_differential pins for that model and dtype. *)
+let zero_sym_case kind seed =
+  let rs = Random.State.make [| 0x5e70; seed |] in
+  let int r lo n = lo + Random.State.int r n in
+  let mlp ~int8 =
+    let batch = int rs 1 8 in
+    let hidden = List.init (int rs 2 2) (fun _ -> int rs 1 24) in
+    let b =
+      if int8 then Gc_workloads.Mlp.build_int8 ~seed ~batch ~hidden ()
+      else Gc_workloads.Mlp.build_f32 ~seed ~batch ~hidden ()
+    in
+    (b.graph, b.data)
+  in
+  let dlrm ~int8 =
+    let emb_dim = int rs 4 9 in
+    let batch = int rs 1 8 in
+    let dense_dim = int rs 1 13 in
+    let bottom = [ int rs 8 17; emb_dim ] in
+    let tables = int rs 1 2 in
+    let vocab = int rs 10 31 in
+    let top = [ int rs 8 17; 1 ] in
+    let b =
+      if int8 then
+        Gc_workloads.Dlrm.build_int8 ~seed ~batch ~dense_dim ~bottom ~tables
+          ~vocab ~emb_dim ~top ()
+      else
+        Gc_workloads.Dlrm.build_f32 ~seed ~batch ~dense_dim ~bottom ~tables
+          ~vocab ~emb_dim ~top ()
+    in
+    (b.graph, b.data)
+  in
+  match kind with
+  | 0 -> ("mlp f32", mlp ~int8:false, 2e-3, 2e-3)
+  | 1 -> ("mlp int8", mlp ~int8:true, 1e-4, 1e-3)
+  | 2 -> ("dlrm f32", dlrm ~int8:false, 2e-3, 2e-3)
+  | _ -> ("dlrm int8", dlrm ~int8:true, 1e-2, 2e-2)
+
+let prop_zero_symbol_poly =
+  QCheck.Test.make ~count:8
+    ~name:"zero-symbol poly == Core.execute (mlp/dlrm, f32/int8)"
+    QCheck.(pair (int_bound 3) (int_bound 10_000))
+    (fun (kind, seed) ->
+      let what, (graph, data), rtol, atol = zero_sym_case kind seed in
+      let fail fmt =
+        QCheck.Test.fail_reportf
+          ("%s seed %d: " ^^ fmt ^^ " (rerun with QCHECK_SEED=%d)")
+          what seed
+      in
+      let compiled = Core.compile graph in
+      let want = Core.execute compiled data in
+      let counters = Counters.snapshot () in
+      let cache = Core.Compile_cache.stats () in
+      let p = Core.as_poly compiled in
+      let got, report =
+        match Core.execute_checked p data with
+        | Ok r -> r
+        | Error e -> fail "checked: %s" (Core.Errors.to_string e) zero_sym_seed
+      in
+      let interp =
+        match Core.execute_fallback p data with
+        | Ok outs -> outs
+        | Error e -> fail "reference: %s" (Core.Errors.to_string e) zero_sym_seed
+      in
+      let counters' = Counters.snapshot () in
+      let cache' = Core.Compile_cache.stats () in
+      let check name ok = if not ok then fail "%s" name zero_sym_seed in
+      check "checked output bit-identical to Core.execute"
+        (List.for_all2 Tensor.equal got want);
+      check "compiled path, no bucket compile"
+        ((not report.Core.used_fallback) && not report.Core.compiled_bucket);
+      check "reference path bit-identical to Core.reference"
+        (List.for_all2 Tensor.equal interp (Core.reference graph data));
+      check "reference path within tolerance of Core.execute"
+        (List.for_all2 (Tensor.allclose ~rtol ~atol) interp want);
+      check "bucket counters unchanged"
+        (counters'.bucket_compiles = counters.bucket_compiles
+        && counters'.bucket_cache_hits = counters.bucket_cache_hits
+        && counters'.pad_waste_rows = counters.pad_waste_rows);
+      (* every compile a poly can trigger goes through the compile cache *)
+      check "no second compile"
+        (Core.poly_instances p = 0
+        && cache'.hits = cache.hits
+        && cache'.misses = cache.misses);
+      check "tune scope is the compile's own"
+        (Core.poly_tune_scope p = Core.tune_scope compiled
+        && (Gc_tuning.Autotune.enabled () || Core.poly_tune_scope p = None));
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: bucket-padded execution == exact compilation, bit-identical *)
@@ -339,5 +452,8 @@ let () =
             test_execute_poly_checked_and_fallback;
           Alcotest.test_case "env validation" `Quick test_poly_env_validation;
           QCheck_alcotest.to_alcotest prop_padded_equals_exact;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| zero_sym_seed |])
+            prop_zero_symbol_poly;
         ] );
     ]

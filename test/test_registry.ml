@@ -132,6 +132,62 @@ let test_hot_swap_weights_and_structural () =
       Alcotest.(check int) "two hot swaps counted" (sw0 + 2)
         (Counters.snapshot ()).Counters.hot_swaps)
 
+(* Regression: a weights-path hot swap with an old-version request still
+   queued. That request ran after the swap, re-ran the constant init with
+   the old weights, and every later new-version request silently got
+   them. A blocker model stalls the single worker for less than the
+   supervision staleness bound, so the old-version request is still
+   queued when the swap starts and nothing supersedes the worker. *)
+let test_hot_swap_with_queued_old_version () =
+  let dlrm seed =
+    Dlrm.build_f32 ~seed ~batch:16 ~dense_dim:13 ~bottom:[ 64; 32 ] ~tables:4
+      ~vocab:100 ~emb_dim:32 ~top:[ 64; 1 ] ()
+  in
+  let v0 = dlrm 0 and v1 = dlrm 1 in
+  let close what (b : Dlrm.built) = function
+    | Ok outs ->
+        List.iter2
+          (fun got e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s (max |diff| %g)" what
+                 (Core.Tensor.max_abs_diff got e))
+              true
+              (Core.Tensor.allclose ~rtol:2e-3 ~atol:2e-3 got e))
+          outs
+          (Core.reference b.Dlrm.graph b.Dlrm.data)
+    | Error e -> Alcotest.failf "%s: %s" what (Core.Errors.to_string e)
+  in
+  with_registry ~config:(serve_config ~workers:1 ()) (fun reg ->
+      (match Registry.load ~config:(compile_config ()) reg ~name:"dlrm" v0.Dlrm.graph with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "load dlrm: %s" (Core.Errors.to_string e));
+      load_ok reg ~name:"blocker" (mlp ());
+      let submit name bindings =
+        match Registry.submit reg name bindings with
+        | Ok tk -> tk
+        | Error e -> Alcotest.failf "submit %s: %s" name (Core.Errors.to_string e)
+      in
+      let old =
+        Fault.configure ~slow_ms:150 "stuck_worker:1@blocker";
+        (* re-arm the environment's faults (the chaos CI job's) after *)
+        let restore () =
+          match Sys.getenv_opt "GC_FAULTS" with
+          | Some spec when spec <> "" -> Fault.configure spec
+          | _ -> Fault.clear ()
+        in
+        Fun.protect ~finally:restore (fun () ->
+            let blocker = submit "blocker" (mlp ()).Mlp.data in
+            let old = submit "dlrm" v0.Dlrm.data in
+            (match Registry.hot_swap reg ~name:"dlrm" v1.Dlrm.graph with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "hot swap: %s" (Core.Errors.to_string e));
+            ignore (Serve.await blocker);
+            old)
+      in
+      close "queued v0 request served with v0 weights" v0 (Serve.await old);
+      close "v1 request served with v1 weights" v1
+        (Registry.call reg "dlrm" v1.Dlrm.data))
+
 (* ------------------------------------------------------------------ *)
 (* Pinned residency (regression: pinned entries are never evicted) *)
 
@@ -357,6 +413,8 @@ let () =
           Alcotest.test_case "load/call/retire" `Quick test_load_call_retire;
           Alcotest.test_case "hot swap paths" `Quick
             test_hot_swap_weights_and_structural;
+          Alcotest.test_case "hot swap with queued old version" `Quick
+            test_hot_swap_with_queued_old_version;
         ] );
       ( "residency",
         [

@@ -35,6 +35,10 @@ let opts ?timeout_ms ?(retries = 1) ?(fallback = true) ?(sanitize = false) ()
     =
   { timeout_ms; retries; fallback; sanitize_outputs = sanitize }
 
+(* The checked entry on a static compile, which is a zero-symbol poly. *)
+let checked ?options compiled bindings =
+  Result.map fst (execute_checked ?options (as_poly compiled) bindings)
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic fault schedule *)
 
@@ -66,7 +70,7 @@ let test_validation_rejected_and_counted () =
   let x_lt, _ = List.hd built.data in
   let bad = Tensor.random Dtype.F32 (sh [ 3; 8 ]) in
   (match
-     execute_checked compiled ((x_lt, bad) :: List.tl built.data)
+     checked compiled ((x_lt, bad) :: List.tl built.data)
    with
   | Error (Errors.Invalid_input { ctx; _ }) ->
       Alcotest.(check (option string))
@@ -74,7 +78,7 @@ let test_validation_rejected_and_counted () =
         (List.assoc_opt "shape" ctx)
   | Ok _ -> Alcotest.fail "bad shape accepted"
   | Error e -> Alcotest.fail ("wrong class: " ^ Errors.to_string e));
-  (match execute_checked compiled [ List.hd built.data ] with
+  (match checked compiled [ List.hd built.data ] with
   | Error (Errors.Invalid_input _) -> ()
   | _ -> Alcotest.fail "missing binding not rejected as Invalid_input");
   let snap = Observe.Counters.snapshot () in
@@ -98,7 +102,7 @@ let test_alloc_fault_contained () =
           Alcotest.(check (option string))
             "marked injected" (Some "true")
             (List.assoc_opt "injected" ctx));
-      match execute_checked compiled built.data with
+      match checked compiled built.data with
       | Error (Errors.Resource_exhausted _) -> ()
       | Ok _ -> Alcotest.fail "execute succeeded under alloc:1"
       | Error e -> Alcotest.fail ("wrong class: " ^ Errors.to_string e));
@@ -152,7 +156,7 @@ let test_worker_fault_falls_back_to_interp () =
       check_serviceable ~msg:"warm-up execute" compiled built;
       let ref_out = reference built.graph built.data in
       with_faults "worker:1" (fun () ->
-          match execute_checked ~options:(opts ()) compiled built.data with
+          match checked ~options:(opts ()) compiled built.data with
           | Ok out ->
               Alcotest.(check bool) "fallback output matches reference" true
                 (List.for_all2 Tensor.equal out ref_out)
@@ -178,7 +182,7 @@ let test_kernel_nan_sanitized_and_recovered () =
   with_faults "kernel_nan:1" (fun () ->
       (* without the sanitizer the poisoned output is silent *)
       (match
-         execute_checked ~options:(opts ~sanitize:false ()) compiled
+         checked ~options:(opts ~sanitize:false ()) compiled
            built.data
        with
       | Ok [ out ] ->
@@ -188,7 +192,7 @@ let test_kernel_nan_sanitized_and_recovered () =
       | Error e -> Alcotest.fail ("unexpected " ^ Errors.to_string e));
       (* with the sanitizer: detect, retry, degrade to the interpreter *)
       match
-        execute_checked ~options:(opts ~sanitize:true ()) compiled built.data
+        checked ~options:(opts ~sanitize:true ()) compiled built.data
       with
       | Ok out ->
           Alcotest.(check bool) "recovered output matches reference" true
@@ -242,7 +246,7 @@ let test_timeout_through_execute_checked () =
       check_serviceable ~msg:"warm-up execute" compiled built;
       with_faults ~slow_ms:200 "slow:1" (fun () ->
           match
-            execute_checked
+            checked
               ~options:(opts ~timeout_ms:40 ())
               compiled built.data
           with
@@ -379,7 +383,7 @@ let test_chaos_soak () =
   Fun.protect ~finally:Fault.clear (fun () ->
       for _ = 1 to 30 do
         match
-          execute_checked
+          checked
             ~options:(opts ~timeout_ms:2000 ~sanitize:true ())
             compiled built.data
         with
@@ -415,7 +419,7 @@ let model_chaos ~what ~rtol ~atol (graph : Gc_graph_ir.Graph.t) data =
   Fun.protect ~finally:Fault.clear (fun () ->
       for _ = 1 to 10 do
         match
-          execute_checked
+          checked
             ~options:(opts ~timeout_ms:5000 ~sanitize:true ())
             compiled data
         with

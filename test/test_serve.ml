@@ -190,6 +190,7 @@ let test_execute_deadline_param () =
   let config = { (Core.default_config ()) with Core.pool = Some pool } in
   let compiled = Core.compile ~config b.Mlp.graph in
   ignore (Core.execute compiled b.Mlp.data);
+  let compiled = Core.as_poly compiled in
   (* options say 10 s; the per-call deadline of 30 ms must win *)
   let options =
     { (Core.default_exec_options ()) with
@@ -511,7 +512,7 @@ let test_verifier_passes_pipeline () =
       Verify.set_enabled (Some true);
       match Core.compile_checked ~config:(compile_config ()) b.Mlp.graph with
       | Ok compiled -> (
-          match Core.execute_checked compiled b.Mlp.data with
+          match Core.execute_checked (Core.as_poly compiled) b.Mlp.data with
           | Ok _ -> ()
           | Error e ->
               Alcotest.failf "execute under verifier failed: %s"
@@ -645,6 +646,41 @@ let test_chaos_during_coalesce () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "post-chaos: %s" (Core.Errors.to_string e))
 
+(* Regression: the first request to a fresh poly handle compiles its
+   bucket, and that call's latency is compile time. Fed into the latency
+   EWMA, it made admission refuse every later short-deadline request as
+   "deadline unmeetable", for good. A follow-up whose deadline is above
+   the execute cost but below the compile time must be admitted and
+   served. *)
+let test_bucket_compile_not_in_ewma () =
+  let b = poly_mlp ~hidden:(List.init 16 (fun _ -> 64)) () in
+  let p = Core.compile_poly ~config:(compile_config ()) b.Mlp.graph in
+  let bs = poly_bindings b 3 in
+  let elapsed_ms f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, (Unix.gettimeofday () -. t0) *. 1000.)
+  in
+  with_server ~config:(serve_config ~workers:1 ()) (fun server ->
+      let h = Serve.register_poly server p in
+      let first, compile_ms = elapsed_ms (fun () -> Serve.call server h bs) in
+      check_ok_equal ~msg:"bucket-compiling request" (Core.execute_poly p bs)
+        first;
+      let exec_ms =
+        List.fold_left Float.min infinity
+          (List.init 5 (fun _ -> snd (elapsed_ms (fun () -> Core.execute_poly p bs))))
+      in
+      let deadline_ms = int_of_float (compile_ms /. 3.) in
+      if float_of_int deadline_ms < 5. *. Float.max exec_ms 1. then
+        Alcotest.failf "compile %.1f ms does not dominate execute %.2f ms"
+          compile_ms exec_ms;
+      match Serve.call ~deadline_ms server h bs with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf
+            "deadline %d ms (compile %.1f ms, execute %.2f ms) refused: %s"
+            deadline_ms compile_ms exec_ms (Core.Errors.to_string e))
+
 (* Acceptance invariant: gathering never causes a deadline miss — the
    window-violation counter stays at zero across a mixed-deadline soak
    with coalescing armed. *)
@@ -727,6 +763,8 @@ let () =
           Alcotest.test_case "poly handle serves" `Quick test_poly_handle_serves;
           Alcotest.test_case "coalesced matches solo" `Quick
             test_coalesced_matches_solo;
+          Alcotest.test_case "bucket compile not in ewma" `Quick
+            test_bucket_compile_not_in_ewma;
           Alcotest.test_case "tight deadline not coalesced" `Quick
             test_tight_deadline_not_coalesced;
           Alcotest.test_case "chaos during coalesce" `Slow
