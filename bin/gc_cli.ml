@@ -339,6 +339,7 @@ let cmd_health =
           Obj
             [
               ("recorded", Int (Observe.Events.recorded ()));
+              ("recent", Observe.Events.to_json ~limit:16 ());
               ( "dump_path",
                 match Observe.Events.dump_path () with
                 | Some p -> String p
@@ -394,7 +395,8 @@ let cmd_health =
        ~doc:"Print the process health snapshot as gc-health/1 JSON: \
              supervision components, observability counters, per-model \
              label families, compile-cache residency, memory-budget \
-             ledger and the event-ring cursor.")
+             ledger, and the event-ring cursor with its 16 most recent \
+             events (route-health changes among them).")
     Term.(const run $ demo_arg $ out_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -63,12 +63,10 @@ let registry_status t =
         Hashtbl.fold (fun _ m acc -> m :: acc) t.rg_models [])
   in
   let live = List.filter (fun m -> m.md_status <> Retired) models in
-  let quarantined =
-    List.filter
-      (fun m ->
-        m.md_status = Resident && Gc_serve.is_quarantined m.md_handle)
-      live
+  let is_quarantined m =
+    m.md_status = Resident && Gc_serve.is_quarantined m.md_handle
   in
+  let quarantined = List.filter is_quarantined live in
   let parked = List.filter (fun m -> m.md_status = Parked) live in
   let per_model =
     String.concat " "
@@ -76,11 +74,7 @@ let registry_status t =
          (fun m ->
            Printf.sprintf "%s=%s%s" m.md_name
              (status_string m.md_status)
-             (if
-                m.md_status = Resident
-                && Gc_serve.is_quarantined m.md_handle
-              then "(quarantined)"
-              else ""))
+             (if is_quarantined m then "(quarantined)" else ""))
          (List.sort (fun a b -> compare a.md_name b.md_name) live))
   in
   let level =

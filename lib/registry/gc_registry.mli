@@ -1,9 +1,10 @@
 (** Multi-model registry: fault-isolated tenancy over one serve tier.
 
     The serve tier ([Gc_serve]) gives each registered handle its own
-    breaker, quarantine state, supervision health and weighted-fair
-    admission share — but it manages {e handles}, not {e models}: nothing
-    owns the compiled artifact's lifecycle. This module adds that layer:
+    route health (breaker and quarantine), supervision health and
+    weighted-fair admission share — but it manages {e handles}, not
+    {e models}: nothing owns the compiled artifact's lifecycle. This
+    module adds that layer:
 
     - {b Named models} with versions: {!load}, {!hot_swap}, {!retire}.
       A hot swap whose new graph fingerprints identically to the bound

@@ -2,7 +2,7 @@
 
    Concurrency picture: one server mutex guards the queue, the admission
    flags and the stats; each ticket has its own mutex + condvar; each
-   handle has its own mutex for the latency EWMA and breaker state.
+   handle has its own mutex for the latency EWMA and route health.
    Workers are domains (requests execute real kernels in parallel);
    clients may be systhreads or domains — they only ever block on a
    ticket condvar. Lock order is strictly server -> ticket / handle,
@@ -24,10 +24,12 @@ type config = {
   backoff_cap_ms : float;
   breaker_threshold : int;
   breaker_cooldown_ms : float;
+  quarantine_threshold : int;
+  quarantine_window_ms : float;
+  canary_ms : float;
   seed : int;
   coalesce_window_ms : float;
   max_coalesce : int;
-  retune_factor : float;
   retune_min_samples : int;
   supervision : Supervise.policy;
 }
@@ -42,13 +44,12 @@ let safety_factor = 1.5
    is under this fraction of the effective depth. *)
 let quota_borrow = 0.5
 
+(* The online-retune trigger: a handle whose latency EWMA loses to the
+   best EWMA it has sustained by this factor is demoted. *)
+let retune_factor = 2.0
+
 let env_int name default =
   match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some v -> v
-  | None -> default
-
-let env_float name default =
-  match Option.bind (Sys.getenv_opt name) float_of_string_opt with
   | Some v -> v
   | None -> default
 
@@ -65,17 +66,124 @@ let default_config () =
     max_retries = env_int "GC_SERVE_MAX_RETRIES" 2;
     backoff_base_ms = 1.;
     backoff_cap_ms = 50.;
-    breaker_threshold = env_int "GC_SERVE_BREAKER_THRESHOLD" 5;
-    breaker_cooldown_ms =
-      float_of_int (env_int "GC_SERVE_BREAKER_COOLDOWN_MS" 100);
+    breaker_threshold = 5;
+    breaker_cooldown_ms = 100.;
+    (* deliberately above the breaker threshold: the breaker is the fast,
+       reversible first line; quarantine is the heavier escalation for an
+       artifact that keeps crashing through breaker probes *)
+    quarantine_threshold = 8;
+    quarantine_window_ms = 2_000.;
+    canary_ms = 20.;
     seed = 0;
     coalesce_window_ms =
       float_of_int (env_int "GC_SERVE_COALESCE_MS" 0) (* 0 = off *);
     max_coalesce = env_int "GC_SERVE_MAX_COALESCE" 8;
-    retune_factor = env_float "GC_SERVE_RETUNE_FACTOR" 2.0;
-    retune_min_samples = env_int "GC_SERVE_RETUNE_MIN_SAMPLES" 8;
+    retune_min_samples = 8;
     supervision = Supervise.default_policy ();
   }
+
+(* {2 Route health}
+
+   One escalating state machine per handle decides whether a request runs
+   the compiled artifact or the reference interpreter: consecutive
+   degradations open it (the breaker), crash-correlated ones open it
+   quarantined, which only a reference-validated canary re-admits. [step]
+   is pure and is the only function that computes a new state. *)
+module Route = struct
+  type health =
+    | Closed
+    | Open of { retry_at : float; quarantined : bool }
+    | Probing of { quarantined : bool }
+
+  type t = { health : health; degraded : int; crashes : float list }
+  type route = Compiled | Probe | Fallback
+  type verdict = Pass | Fail of string | No_verdict of string
+
+  type event =
+    | Admit | Canary_due | Ran of verdict | Probed of verdict
+    | Canary_ran of verdict | Reset
+
+  type bump =
+    | Breaker_open | Breaker_probe | Breaker_close | Breaker_shortcircuit
+    | Quarantine | Canary_probe | Canary_readmission
+
+  type step = { next : t; route : route; bumps : bump list; reason : string }
+
+  let initial = { health = Closed; degraded = 0; crashes = [] }
+  let health s = s.health
+
+  let quarantined = function
+    | Open { quarantined; _ } | Probing { quarantined } -> quarantined
+    | Closed -> false
+
+  let health_to_string h =
+    (match h with Closed -> "closed" | Open _ -> "open" | Probing _ -> "probing")
+    ^ if quarantined h then "(quarantined)" else ""
+
+  let step cfg ~now ev s =
+    let go ?(route = Fallback) ?(bumps = []) ?(reason = "") next =
+      { next; route; bumps; reason }
+    in
+    let opened ms quarantined s =
+      { s with health = Open { retry_at = now +. (ms /. 1000.); quarantined } }
+    in
+    (* A compiled execution degraded to the interpreter: it counts toward
+       both trips and the quarantine trip wins. A failed probe re-opens. *)
+    let degrade ~probing why =
+      let s = { s with degraded = s.degraded + 1 } in
+      let horizon = now -. (cfg.quarantine_window_ms /. 1000.) in
+      let crashes =
+        if cfg.supervision.Supervise.sup_enabled && cfg.quarantine_threshold > 0
+        then now :: List.filter (fun c -> c >= horizon) s.crashes
+        else []
+      in
+      let n = List.length crashes in
+      if quarantined s.health then go s
+      else if n > 0 && n >= cfg.quarantine_threshold then
+        go ~bumps:[ Quarantine ]
+          ~reason:(Printf.sprintf "%d crash-correlated faults in %.0fms: %s" n
+                     cfg.quarantine_window_ms why)
+          { (opened cfg.canary_ms true s) with crashes = [] }
+      else if probing || (s.health = Closed && s.degraded >= cfg.breaker_threshold)
+      then
+        go ~bumps:[ Breaker_open ]
+          ~reason:(Printf.sprintf "%d consecutive degradations: %s" s.degraded why)
+          (opened cfg.breaker_cooldown_ms false { s with crashes })
+      else go { s with crashes }
+    in
+    let ran = function
+      | Pass -> go { s with degraded = 0 }
+      | Fail why -> degrade ~probing:false why
+      | No_verdict _ -> go s
+    in
+    match (ev, s.health) with
+    | Admit, Closed -> go ~route:Compiled s
+    | Admit, Open { retry_at; quarantined = false } when now >= retry_at ->
+        go ~route:Probe ~bumps:[ Breaker_probe ] ~reason:"cooldown elapsed"
+          { s with health = Probing { quarantined = false } }
+    | Admit, (Open { quarantined = false; _ } | Probing { quarantined = false }) ->
+        go ~bumps:[ Breaker_shortcircuit ] s
+    | Canary_due, Open { retry_at; quarantined = true } when now >= retry_at ->
+        go ~route:Probe ~bumps:[ Canary_probe ] ~reason:"canary due"
+          { s with health = Probing { quarantined = true } }
+    | (Admit | Canary_due), _ -> go s
+    | Probed Pass, Probing { quarantined = false } ->
+        go ~bumps:[ Breaker_close ] ~reason:"probe passed"
+          { s with health = Closed; degraded = 0 }
+    | Probed (Fail why), Probing { quarantined = false } -> degrade ~probing:true why
+    | Probed (No_verdict why), Probing { quarantined = false } ->
+        go ~reason:("probe ended without a verdict: " ^ why)
+          (opened cfg.breaker_cooldown_ms false s)
+    (* a probe overtaken by a quarantine or a rebind is an ordinary run *)
+    | (Ran v | Probed v), _ -> ran v
+    | Canary_ran Pass, Probing { quarantined = true } ->
+        go ~bumps:[ Canary_readmission ]
+          ~reason:"canary validated against the reference" initial
+    | Canary_ran (Fail why | No_verdict why), Probing { quarantined = true } ->
+        go ~reason:("canary failed: " ^ why) (opened cfg.canary_ms true s)
+    | Canary_ran _, _ -> go s
+    | Reset, _ -> go ~reason:"rebind" initial
+end
 
 type outcome = (Core.Tensor.t list, Core.Errors.error) result
 
@@ -104,25 +212,17 @@ type handle = {
   h_weight : float;  (* weighted-fair admission share (immutable) *)
   h_mu : Mutex.t;
   mutable h_ewma_ms : float option;
-  mutable h_consec_fb : int;  (* consecutive fallbacks-to-interpreter *)
-  mutable h_state : breaker_state;
-  mutable h_opened_at : float;  (* when the breaker last tripped open *)
+  mutable h_route : Route.t;
+      (* guarded by h_mu; written only by [transition]. While it is not
+         [Closed], traffic reroutes to the reference interpreter *)
   mutable h_best_ms : float option;
       (* best latency EWMA the handle has sustained — the schedule's
          demonstrated expectation; the online-retune detector fires when
          the current EWMA loses to it by [retune_factor] *)
   mutable h_lat_samples : int;  (* completions since the last demotion *)
-  (* artifact quarantine (all guarded by h_mu): crash-correlated fault
-     stamps within the correlation window; while quarantined, traffic
-     reroutes to the reference interpreter and only a background canary —
-     a re-execution on the recorded probe input, validated against the
-     reference — re-admits the compiled artifact *)
-  mutable h_crash_stamps : float list;
-  mutable h_quarantined : bool;
-  mutable h_quarantined_at : float;
   mutable h_probe : (Core.Logical_tensor.t * Core.Tensor.t) list option;
-      (* last bindings seen by the compiled path: the canary's input *)
-  mutable h_next_canary : float;
+      (* guarded by h_mu; last bindings seen by the compiled path: the
+         input a quarantine canary re-executes *)
   (* per-model admission tallies (all guarded by t.mu) *)
   mutable h_queued : int;  (* requests of this handle currently queued *)
   mutable h_pending : int;  (* admitted and not yet resolved *)
@@ -164,6 +264,37 @@ type wslot = {
   mutable ws_stuck_logged : bool;  (* staleness counted once per episode *)
 }
 
+(* Server tallies. The gauges ([queue_len] .. [quarantined_handles]) are
+   filled in when [stats] takes a snapshot. *)
+type stats = {
+  submitted : int;
+  admitted : int;
+  completed : int;
+  ok : int;
+  overloaded : int;
+  shed_expired : int;
+  timeouts : int;
+  faults : int;
+  budget_rejects : int;
+  fallbacks : int;
+  coalesced_batches : int;
+  coalesced_tickets : int;
+  quota_shed : int;
+  queue_len : int;
+  in_flight : int;
+  effective_depth : int;
+  draining : bool;
+  workers_live : int;
+  quarantined_handles : int;
+}
+
+let no_stats =
+  { submitted = 0; admitted = 0; completed = 0; ok = 0; overloaded = 0;
+    shed_expired = 0; timeouts = 0; faults = 0; budget_rejects = 0;
+    fallbacks = 0; coalesced_batches = 0; coalesced_tickets = 0;
+    quota_shed = 0; queue_len = 0; in_flight = 0; effective_depth = 0;
+    draining = false; workers_live = 0; quarantined_handles = 0 }
+
 type t = {
   cfg : config;
   mu : Mutex.t;
@@ -178,20 +309,7 @@ type t = {
   mutable handles : handle list;  (* every handle, for the canary sweep *)
   mutable sup_reg : Supervise.registration option;
   mutable next_handle : int;
-  (* stats (all guarded by [mu]) *)
-  mutable s_submitted : int;
-  mutable s_admitted : int;
-  mutable s_completed : int;
-  mutable s_ok : int;
-  mutable s_overloaded : int;
-  mutable s_shed_expired : int;
-  mutable s_timeouts : int;
-  mutable s_faults : int;
-  mutable s_budget_rejects : int;
-  mutable s_fallbacks : int;
-  mutable s_coalesced_batches : int;
-  mutable s_coalesced_tickets : int;
-  mutable s_quota_shed : int;
+  mutable st : stats;  (* tallies, guarded by [mu] *)
   mutable total_weight : float;  (* sum of registered handles' weights *)
 }
 
@@ -240,28 +358,39 @@ let target_of h = locked h.h_mu (fun () -> h.h_target)
 
 let is_bound h = Option.is_some (target_of h)
 
+(* Charge one [Overloaded] outcome to the server and the model (under
+   [t.mu]). *)
+let count_shed t h =
+  t.st <- { t.st with overloaded = t.st.overloaded + 1 };
+  h.h_shed <- h.h_shed + 1;
+  Gc_observe.Labels.incr ~label:h.h_name "shed"
+
+(* Shed an admitted request that never executes (under [t.mu]). *)
+let count_unserved t h =
+  count_shed t h;
+  t.st <- { t.st with completed = t.st.completed + 1 };
+  h.h_pending <- h.h_pending - 1
+
 let record_outcome t h (outcome : outcome) ~used_fallback =
   locked t.mu (fun () ->
-      t.s_completed <- t.s_completed + 1;
+      t.st <- { t.st with completed = t.st.completed + 1 };
       h.h_pending <- h.h_pending - 1;
-      if used_fallback then t.s_fallbacks <- t.s_fallbacks + 1;
+      if used_fallback then
+        t.st <- { t.st with fallbacks = t.st.fallbacks + 1 };
       match outcome with
       | Ok _ ->
-          t.s_ok <- t.s_ok + 1;
+          t.st <- { t.st with ok = t.st.ok + 1 };
           h.h_ok <- h.h_ok + 1;
           Gc_observe.Labels.incr ~label:h.h_name "ok"
-      | Error (Errors.Overloaded _) ->
-          t.s_overloaded <- t.s_overloaded + 1;
-          h.h_shed <- h.h_shed + 1;
-          Gc_observe.Labels.incr ~label:h.h_name "shed"
+      | Error (Errors.Overloaded _) -> count_shed t h
       | Error (Errors.Timeout _) ->
-          t.s_timeouts <- t.s_timeouts + 1;
+          t.st <- { t.st with timeouts = t.st.timeouts + 1 };
           Gc_observe.Labels.incr ~label:h.h_name "timeout"
       | Error (Errors.Runtime_fault _) ->
-          t.s_faults <- t.s_faults + 1;
+          t.st <- { t.st with faults = t.st.faults + 1 };
           Gc_observe.Labels.incr ~label:h.h_name "fault"
       | Error (Errors.Resource_exhausted _) ->
-          t.s_budget_rejects <- t.s_budget_rejects + 1;
+          t.st <- { t.st with budget_rejects = t.st.budget_rejects + 1 };
           Gc_observe.Labels.incr ~label:h.h_name "budget_reject";
           Counters.serve_budget_reject ()
       | Error (Errors.Invalid_input _ | Errors.Compile_error _) -> ())
@@ -281,97 +410,93 @@ let timeout_error ~site rq =
   Errors.Timeout
     { site; timeout_ms = ms; ctx = [ ("handle", rq.rq_handle.h_name) ] }
 
-(* {2 Circuit breaker} *)
+(* {2 Route health transitions} *)
 
-(* What the worker should do with this request, given the handle's breaker
-   state. Deciding a probe transitions Open -> Half_open, so concurrent
-   requests on the same handle cannot all probe at once: the first gets
-   the probe, the rest keep short-circuiting until it resolves. *)
-type route = Compiled | Probe | Shortcircuit
+let count_bump = function
+  | Route.Breaker_open -> Counters.breaker_open ()
+  | Breaker_probe -> Counters.breaker_probe ()
+  | Breaker_close -> Counters.breaker_close ()
+  | Breaker_shortcircuit -> Counters.breaker_shortcircuit ()
+  | Quarantine -> Counters.quarantine ()
+  | Canary_probe -> Counters.canary_probe ()
+  | Canary_readmission -> Counters.canary_readmission ()
 
-let route_of cfg h =
-  locked h.h_mu (fun () ->
-      match h.h_state with
-      | Closed -> Compiled
-      | Half_open -> Shortcircuit
-      | Open ->
-          if (now () -. h.h_opened_at) *. 1000. >= cfg.breaker_cooldown_ms
-          then begin
-            h.h_state <- Half_open;
-            Counters.breaker_probe ();
-            Probe
-          end
-          else Shortcircuit)
-
-let note_compiled_success h =
-  locked h.h_mu (fun () ->
-      h.h_consec_fb <- 0;
-      if h.h_state = Half_open then begin
-        h.h_state <- Closed;
-        Counters.breaker_close ()
-      end)
-
-(* The compiled path faulted hard enough that we degraded to the
-   interpreter (whether or not the interpreter then succeeded). *)
-let note_fallback cfg h =
-  locked h.h_mu (fun () ->
-      h.h_consec_fb <- h.h_consec_fb + 1;
-      match h.h_state with
-      | Half_open ->
-          (* the probe failed: back to Open for another cooldown *)
-          h.h_state <- Open;
-          h.h_opened_at <- now ();
-          Counters.breaker_open ()
-      | Closed when h.h_consec_fb >= cfg.breaker_threshold ->
-          h.h_state <- Open;
-          h.h_opened_at <- now ();
-          Counters.breaker_open ()
-      | Closed | Open -> ())
-
-(* The tuning scope the handle's compiled code keys under — what an
-   online demotion drops from the tuning DB. *)
+(* The tuning scope the handle's compiled code keys under — what a
+   demotion drops from the tuning DB. *)
 let tune_scope_of h =
   Option.bind (target_of h) (fun tg -> Core.poly_tune_scope tg.tg_poly)
 
+(* Drop the handle's tuning scope and queue background re-tunes (a
+   quarantined artifact re-tunes too: the crash may be a bad schedule).
+   False when the handle has no scope. Takes the tuner's own lock, so it
+   runs outside the handle lock. *)
+let demote h =
+  match tune_scope_of h with
+  | Some scope ->
+      ignore (Gc_tuning.Autotune.demote_scope scope);
+      true
+  | None -> false
+
+(* The only writer of [h_route]: apply [ev] under the handle lock, bump
+   its counters there (an observer that sees the new state already sees
+   them counted) and record one [route] event per state change. Returns
+   the route an [Admit] / [Canary_due] grants. *)
+let transition cfg h ev =
+  let st =
+    locked h.h_mu (fun () ->
+        let before = h.h_route.Route.health in
+        let st = Route.step cfg ~now:(now ()) ev h.h_route in
+        h.h_route <- st.next;
+        List.iter count_bump st.bumps;
+        if st.next.health <> before then
+          Events.record ~kind:"route" ~component:h.h_name
+            (Printf.sprintf "%s -> %s: %s" (Route.health_to_string before)
+               (Route.health_to_string st.next.health) st.reason);
+        st)
+  in
+  if List.mem Route.Quarantine st.bumps then ignore (demote h);
+  st.route
+
+let health h = locked h.h_mu (fun () -> h.h_route.Route.health)
+
+let breaker_state_of = function
+  | Route.Closed -> Closed
+  | Open _ -> Open
+  | Probing _ -> Half_open
+
+let breaker_state h = breaker_state_of (health h)
+
+let is_quarantined h = Route.quarantined (health h)
+
 let note_latency cfg h dt_ms =
   (* EWMA update and the demotion decision under the handle lock; the
-     demotion's side effects (counter, DB drop, background retunes)
-     outside it — demote_scope takes the tuner's own lock and nothing
-     orders handle locks after it *)
-  let demote =
+     demotion itself outside it *)
+  let retune =
     locked h.h_mu (fun () ->
         let e =
           match h.h_ewma_ms with
           | None -> dt_ms
           | Some e -> (ewma_alpha *. dt_ms) +. ((1. -. ewma_alpha) *. e)
         in
+        let best = Option.fold ~none:e ~some:(Float.min e) h.h_best_ms in
         h.h_ewma_ms <- Some e;
+        h.h_best_ms <- Some best;
         h.h_lat_samples <- h.h_lat_samples + 1;
-        (match h.h_best_ms with
-        | Some b when e >= b -> ()
-        | _ -> h.h_best_ms <- Some e);
-        if
-          cfg.retune_factor > 0.
-          && Gc_tuning.Autotune.enabled ()
+        (* the schedule is losing to its demonstrated expectation: demote
+           and restart the baseline so one regression does not re-fire on
+           every subsequent completion *)
+        let retune =
+          Gc_tuning.Autotune.enabled ()
           && h.h_lat_samples >= cfg.retune_min_samples
-        then
-          match h.h_best_ms with
-          | Some best when e > cfg.retune_factor *. best ->
-              (* the schedule is losing to its demonstrated expectation:
-                 demote and restart the baseline so one regression does
-                 not re-fire on every subsequent completion *)
-              h.h_best_ms <- None;
-              h.h_lat_samples <- 0;
-              true
-          | _ -> false
-        else false)
+          && e > retune_factor *. best
+        in
+        if retune then begin
+          h.h_best_ms <- None;
+          h.h_lat_samples <- 0
+        end;
+        retune)
   in
-  if demote then
-    match tune_scope_of h with
-    | Some scope ->
-        Counters.retune_triggered ();
-        ignore (Gc_tuning.Autotune.demote_scope scope)
-    | None -> ()
+  if retune && demote h then Counters.retune_triggered ()
 
 (* A call that compiled a bucketed instance measured the compile, not the
    execute: it would seed the EWMA with compile time and admission would
@@ -380,53 +505,7 @@ let note_execute_latency cfg h (report : Core.exec_report) t0 =
   if not report.compiled_bucket then
     note_latency cfg h ((now () -. t0) *. 1000.)
 
-let breaker_state h = locked h.h_mu (fun () -> h.h_state)
 let ewma_ms h = locked h.h_mu (fun () -> h.h_ewma_ms)
-
-(* {2 Artifact quarantine} *)
-
-let is_quarantined h = locked h.h_mu (fun () -> h.h_quarantined)
-
-(* A compiled execution that degraded to the interpreter is a
-   crash-correlated fault for the artifact. Enough of them inside the
-   correlation window and the artifact is quarantined: traffic reroutes
-   to the reference interpreter, the artifact's tuning scope is demoted
-   (a quarantined scope also re-tunes — the crash may be a bad
-   schedule), and only a reference-validated canary re-admits it. *)
-let note_crash cfg h =
-  let pol = cfg.supervision in
-  let tripped =
-    locked h.h_mu (fun () ->
-        if (not pol.Supervise.sup_enabled) || h.h_quarantined then false
-        else begin
-          let t_now = now () in
-          let horizon = t_now -. (pol.Supervise.quarantine_window_ms /. 1000.) in
-          h.h_crash_stamps <-
-            t_now :: List.filter (fun s -> s >= horizon) h.h_crash_stamps;
-          if
-            pol.Supervise.quarantine_threshold > 0
-            && List.length h.h_crash_stamps >= pol.Supervise.quarantine_threshold
-          then begin
-            h.h_quarantined <- true;
-            h.h_quarantined_at <- t_now;
-            h.h_next_canary <- t_now +. (pol.Supervise.canary_ms /. 1000.);
-            h.h_crash_stamps <- [];
-            true
-          end
-          else false
-        end)
-  in
-  if tripped then begin
-    Counters.quarantine ();
-    Events.record ~kind:"quarantine" ~component:h.h_name
-      (Printf.sprintf "%d crash-correlated faults in %.0fms; rerouting to \
-                       reference interpreter"
-         cfg.supervision.Supervise.quarantine_threshold
-         cfg.supervision.Supervise.quarantine_window_ms);
-    match tune_scope_of h with
-    | Some scope -> ignore (Gc_tuning.Autotune.demote_scope scope)
-    | None -> ()
-  end
 
 (* Exported latency observation: feeds the same EWMA + online-retune
    detector the workers feed, for callers (and tests) that execute a
@@ -476,38 +555,43 @@ let exec_checked ?deadline_ms h bindings =
 let exec_fallback ?deadline_ms h bindings =
   with_target h (fun p -> Core.execute_fallback ?deadline_ms p bindings)
 
-let run_fallback_path t rq ~via =
-  let h = rq.rq_handle in
-  (match via with
-  | `Breaker_open -> Counters.breaker_shortcircuit ()
-  | `Quarantined -> () (* no breaker mutation: quarantine owns the route *)
-  | `Degraded ->
-      note_fallback t.cfg h;
-      note_crash t.cfg h);
-  match exec_fallback ?deadline_ms:(remaining_ms rq) h rq.rq_bindings with
-  | Ok outs -> (Ok outs, true)
-  | Error e -> (Error e, true)
+let run_fallback_path rq =
+  (exec_fallback ?deadline_ms:(remaining_ms rq) rq.rq_handle rq.rq_bindings, true)
 
-let process t rq =
+(* Run one request down the route [transition] granted it. A [Probe]
+   always reports its verdict, so the handle never stays [Probing]: a
+   pass closes, a degradation re-opens, anything else (timeout, expiry,
+   a non-fault error, an exception) re-opens without counting either. *)
+let process t rq route =
   let h = rq.rq_handle in
   let cfg = t.cfg in
-  let rng = Random.State.make [| cfg.seed; Hashtbl.hash h.h_name |] in
-  if is_quarantined h then run_fallback_path t rq ~via:`Quarantined
-  else
-  match route_of cfg h with
-  | Shortcircuit -> run_fallback_path t rq ~via:`Breaker_open
-  | Compiled | Probe ->
+  match route with
+  | Route.Fallback -> run_fallback_path rq
+  | Compiled | Probe -> (
+      let settled = ref false in
+      let settle v =
+        if not !settled then begin
+          settled := true;
+          ignore
+            (transition cfg h (if route = Probe then Route.Probed v else Ran v))
+        end
+      in
+      let rng = Random.State.make [| cfg.seed; Hashtbl.hash h.h_name |] in
       (* the latest bindings the compiled path sees double as the canary's
          probe input should this artifact be quarantined later *)
       locked h.h_mu (fun () -> h.h_probe <- Some rq.rq_bindings);
       let rec attempt tries prev_ms =
-        if expired rq then (Error (timeout_error ~site:"serve.retry" rq), false)
+        if expired rq then begin
+          let e = timeout_error ~site:"serve.retry" rq in
+          settle (No_verdict (Errors.to_string e));
+          (Error e, false)
+        end
         else begin
           let t0 = now () in
           match exec_checked ?deadline_ms:(remaining_ms rq) h rq.rq_bindings with
           | Ok (outs, report) ->
               note_execute_latency cfg h report t0;
-              note_compiled_success h;
+              settle Pass;
               (Ok outs, false)
           | Error (Errors.Runtime_fault _) when tries < cfg.max_retries ->
               Counters.exec_retry ();
@@ -515,14 +599,21 @@ let process t rq =
                 backoff_sleep cfg rng ~prev_ms ~remaining:(remaining_ms rq)
               in
               attempt (tries + 1) slept
-          | Error (Errors.Runtime_fault _) ->
-              run_fallback_path t rq ~via:`Degraded
-          | Error e -> (Error e, false)
+          | Error (Errors.Runtime_fault _ as e) ->
+              settle (Fail (Errors.to_string e));
+              run_fallback_path rq
+          | Error e ->
+              settle (No_verdict (Errors.to_string e));
+              (Error e, false)
         end
       in
-      attempt 0 cfg.backoff_base_ms
+      try attempt 0 cfg.backoff_base_ms
+      with e ->
+        settle (No_verdict (Printexc.to_string e));
+        raise e)
 
-let shed rq reason extra_ctx =
+(* Resolve [rq] as [Overloaded]. *)
+let shed ?(site = "serve") rq reason extra_ctx =
   Counters.serve_overloaded ();
   let ctx =
     [ ("handle", rq.rq_handle.h_name) ]
@@ -532,23 +623,19 @@ let shed rq reason extra_ctx =
     | Some ms -> [ ("deadline_ms", string_of_int ms) ]
     | None -> []
   in
-  resolve rq.rq_ticket (Error (Errors.Overloaded { site = "serve"; what = reason; ctx }))
+  resolve rq.rq_ticket (Error (Errors.Overloaded { site; what = reason; ctx }))
 
 let shed_expired_in_queue t rq =
   locked t.mu (fun () ->
-      t.s_overloaded <- t.s_overloaded + 1;
-      t.s_shed_expired <- t.s_shed_expired + 1;
-      t.s_completed <- t.s_completed + 1;
-      rq.rq_handle.h_pending <- rq.rq_handle.h_pending - 1;
-      rq.rq_handle.h_shed <- rq.rq_handle.h_shed + 1;
-      Gc_observe.Labels.incr ~label:rq.rq_handle.h_name "shed");
+      t.st <- { t.st with shed_expired = t.st.shed_expired + 1 };
+      count_unserved t rq.rq_handle);
   Counters.serve_shed_expired ();
   shed rq "deadline expired in queue" []
 
 (* Solo dispatch of one request (the non-coalesced path). *)
-let run_solo t rq =
+let run_solo t rq route =
   let outcome, used_fallback =
-    try process t rq
+    try process t rq route
     with e ->
       (* belt and braces: nothing may escape a worker domain *)
       (Error (Errors.classify ~site:"serve.worker" e), false)
@@ -696,7 +783,7 @@ let run_coalesced t p ~sym base env =
     dead;
   match live with
   | [] -> ()
-  | [ rq ] -> run_solo t rq
+  | [ rq ] -> run_solo t rq Route.Compiled
   | rqs -> (
       let sizes =
         List.map (fun rq -> List.assoc sym (Option.get rq.rq_env)) rqs
@@ -710,7 +797,7 @@ let run_coalesced t p ~sym base env =
           (match r with
           | Ok (_, report) ->
               note_execute_latency cfg h report t0;
-              note_compiled_success h
+              ignore (transition cfg h (Route.Ran Pass))
           | Error _ -> ());
           r
         with e -> Error (Errors.classify ~site:"serve.coalesce" e)
@@ -719,8 +806,12 @@ let run_coalesced t p ~sym base env =
       | Ok (outs, _) ->
           Counters.coalesced_batch ~tickets:n;
           locked t.mu (fun () ->
-              t.s_coalesced_batches <- t.s_coalesced_batches + 1;
-              t.s_coalesced_tickets <- t.s_coalesced_tickets + n);
+              t.st <-
+                {
+                  t.st with
+                  coalesced_batches = t.st.coalesced_batches + 1;
+                  coalesced_tickets = t.st.coalesced_tickets + n;
+                });
           (* split each output along the coalescing axis, ticket order *)
           let splits = List.map (fun o -> Core.Tensor.split0 o sizes) outs in
           List.iteri
@@ -731,17 +822,19 @@ let run_coalesced t p ~sym base env =
             rqs
       | Error _ ->
           (* batch-level failure: isolate by re-running each ticket solo
-             (with its own retries, breaker routing and fallback) *)
-          List.iter (run_solo t) rqs)
+             (with its own route, retries and fallback) *)
+          List.iter
+            (fun rq -> run_solo t rq (transition cfg rq.rq_handle Route.Admit))
+            rqs)
 
-(* A request is a coalescing candidate when the feature is on, its handle
-   is polymorphic with a coalescible shape, its environment resolved, the
-   breaker is closed (probe and short-circuit traffic stays solo), and
-   its deadline leaves room for the gather window plus the predicted
-   execute — a tight-deadline ticket dispatches solo immediately rather
-   than gambling its deadline on the window. *)
-let coalesce_plan t rq =
-  if t.cfg.coalesce_window_ms <= 0. then None
+(* A request is a coalescing candidate when the feature is on, its route
+   is [Compiled] (probe and fallback traffic stays solo), its handle has
+   a coalescible shape, its environment resolved, and its deadline leaves
+   room for the gather window plus the predicted execute — a
+   tight-deadline ticket dispatches solo immediately rather than
+   gambling its deadline on the window. *)
+let coalesce_plan t route rq =
+  if t.cfg.coalesce_window_ms <= 0. || route <> Route.Compiled then None
   else
     let too_tight =
       match remaining_ms rq with
@@ -757,8 +850,7 @@ let coalesce_plan t rq =
     if too_tight then None
     else
       match (target_of rq.rq_handle, rq.rq_env) with
-      | Some { tg_poly; tg_coalesce = Some sym }, Some env
-        when breaker_state rq.rq_handle = Closed ->
+      | Some { tg_poly; tg_coalesce = Some sym }, Some env ->
           Some (tg_poly, sym, env)
       | _ -> None
 
@@ -805,9 +897,10 @@ let worker_loop t ~(slot : wslot) ~my_epoch =
            waiter has already timed out. *)
         (if expired rq then shed_expired_in_queue t rq
          else
-           match coalesce_plan t rq with
+           let route = transition t.cfg rq.rq_handle Route.Admit in
+           match coalesce_plan t route rq with
            | Some (p, sym, env) -> run_coalesced t p ~sym rq env
-           | None -> run_solo t rq);
+           | None -> run_solo t rq route);
         locked t.mu (fun () -> t.in_flight <- t.in_flight - 1);
         if owns_slot () then Atomic.set slot.ws_busy false;
         next ()
@@ -924,49 +1017,31 @@ let supersede_stuck_slot t slot =
    interpreter. Only a validated artifact returns to service. *)
 let canary_tolerance = 2e-3
 
+let canary_verdict h bindings =
+  try
+    match exec_checked h bindings with
+    | Error e -> Route.Fail (Errors.to_string e)
+    | Ok (outs, _) -> (
+        match exec_fallback h bindings with
+        | Error e -> Fail ("reference failed: " ^ Errors.to_string e)
+        | Ok refs ->
+            let close =
+              Core.Tensor.allclose ~rtol:canary_tolerance ~atol:canary_tolerance
+            in
+            if List.equal close outs refs then Pass
+            else Fail "outputs diverged from reference")
+  with e -> Fail (Printexc.to_string e)
+
 let run_canary t h =
-  let probe =
-    locked h.h_mu (fun () ->
-        if h.h_quarantined && now () >= h.h_next_canary then h.h_probe
-        else None)
-  in
-  match probe with
-  | None -> ()
-  | Some bindings ->
-      Counters.canary_probe ();
-      let pol = t.cfg.supervision in
+  match transition t.cfg h Route.Canary_due with
+  | Route.Probe ->
       let verdict =
-        try
-          match exec_checked h bindings with
-          | Error e -> Error (Errors.to_string e)
-          | Ok (outs, _) -> (
-              match exec_fallback h bindings with
-              | Error e -> Error ("reference failed: " ^ Errors.to_string e)
-              | Ok refs ->
-                  if
-                    List.length outs = List.length refs
-                    && List.for_all2
-                         (Core.Tensor.allclose ~rtol:canary_tolerance
-                            ~atol:canary_tolerance)
-                         outs refs
-                  then Ok ()
-                  else Error "outputs diverged from reference")
-        with e -> Error (Printexc.to_string e)
+        match locked h.h_mu (fun () -> h.h_probe) with
+        | Some bindings -> canary_verdict h bindings
+        | None -> Route.Fail "no recorded probe input"
       in
-      (match verdict with
-      | Ok () ->
-          locked h.h_mu (fun () ->
-              h.h_quarantined <- false;
-              h.h_crash_stamps <- [];
-              h.h_consec_fb <- 0;
-              h.h_state <- Closed);
-          Counters.canary_readmission ();
-          Events.record ~kind:"canary_readmission" ~component:h.h_name
-            "canary validated against the reference; artifact re-admitted"
-      | Error why ->
-          locked h.h_mu (fun () ->
-              h.h_next_canary <- now () +. (pol.Supervise.canary_ms /. 1000.));
-          Events.record ~kind:"canary_failed" ~component:h.h_name why)
+      ignore (transition t.cfg h (Route.Canary_ran verdict))
+  | Compiled | Fallback -> ()
 
 let tick_serve t =
   let pol = t.cfg.supervision in
@@ -996,7 +1071,7 @@ let quarantined_handles t =
   let handles = locked t.mu (fun () -> t.handles) in
   List.length (List.filter is_quarantined handles)
 
-let serve_status t =
+let tier_health t =
   let pol = t.cfg.supervision in
   let live = live_workers t in
   let t_now = now () in
@@ -1043,15 +1118,7 @@ let effective_depth cfg =
     in
     max 0 (min cfg.queue_depth d)
 
-let reject tk ~handle ~reason ~ctx =
-  Counters.serve_overloaded ();
-  resolve tk
-    (Error
-       (Errors.Overloaded
-          { site = "serve.admission"; what = reason; ctx = ("handle", handle) :: ctx }))
-
 let submit ?deadline_ms t h bindings =
-  let tk = new_ticket () in
   let deadline_ms =
     match deadline_ms with Some _ as d -> d | None -> t.cfg.default_deadline_ms
   in
@@ -1069,128 +1136,94 @@ let submit ?deadline_ms t h bindings =
         Option.map (fun ms -> now () +. (float_of_int ms /. 1000.)) deadline_ms;
       rq_deadline_ms = deadline_ms;
       rq_env;
-      rq_ticket = tk;
+      rq_ticket = new_ticket ();
     }
   in
   let verdict =
     locked t.mu (fun () ->
-        t.s_submitted <- t.s_submitted + 1;
+        t.st <- { t.st with submitted = t.st.submitted + 1 };
         h.h_submitted <- h.h_submitted + 1;
         Gc_observe.Labels.incr ~label:h.h_name "submitted";
-        if not t.accepting then
-          `Reject ("server is draining", [])
-        else if Gc_faultinject.queue_full_check () then begin
-          t.s_overloaded <- t.s_overloaded + 1;
-          h.h_shed <- h.h_shed + 1;
-          Gc_observe.Labels.incr ~label:h.h_name "shed";
-          `Reject ("queue full", [ ("injected", "true") ])
-        end
-        else begin
-          let eff = effective_depth t.cfg in
-          let qlen = Queue.length t.queue in
-          if qlen >= eff then begin
-            t.s_overloaded <- t.s_overloaded + 1;
-            h.h_shed <- h.h_shed + 1;
-            Gc_observe.Labels.incr ~label:h.h_name "shed";
+        let eff = effective_depth t.cfg in
+        let qlen = Queue.length t.queue in
+        (* Weighted-fair quota: a model may queue up to its share of the
+           effective depth (eff * weight / total weight, at least one
+           slot). Past its share it may still borrow while the whole queue
+           is under [quota_borrow * eff] — slack capacity belongs to
+           whoever shows up — but once the queue is that full, over-share
+           traffic is shed so a flooding tenant cannot starve the others'
+           slots. *)
+        let over_quota () =
+          t.total_weight > 0. && h.h_registered
+          &&
+          let share = float_of_int eff *. h.h_weight /. t.total_weight in
+          let share = max 1 (int_of_float (floor share)) in
+          h.h_queued >= share
+          && float_of_int qlen >= quota_borrow *. float_of_int eff
+        in
+        (* Deadline feasibility: with a latency estimate in hand, refuse
+           work we can predict we cannot finish in time. *)
+        let infeasible () =
+          match (deadline_ms, ewma_ms h) with
+          | Some ms, Some ewma ->
+              let predicted = ewma *. float_of_int (qlen + 1) *. safety_factor in
+              if float_of_int ms < predicted then Some (ewma, predicted) else None
+          | _ -> None
+        in
+        let verdict =
+          if not t.accepting then `Reject ("server is draining", [])
+          else if Gc_faultinject.queue_full_check () then
+            `Reject ("queue full", [ ("injected", "true") ])
+          else if qlen >= eff then
             `Reject
               ( "queue full",
                 [
                   ("queue_len", string_of_int qlen);
                   ("depth", string_of_int t.cfg.queue_depth);
                   ("effective_depth", string_of_int eff);
-                  ( "budget_fill",
-                    Printf.sprintf "%.2f" (Memgov.fill_fraction ()) );
+                  ("budget_fill", Printf.sprintf "%.2f" (Memgov.fill_fraction ()));
+                ] )
+          else if over_quota () then begin
+            t.st <- { t.st with quota_shed = t.st.quota_shed + 1 };
+            h.h_quota_shed <- h.h_quota_shed + 1;
+            Counters.quota_shed ();
+            Gc_observe.Labels.incr ~label:h.h_name "quota_shed";
+            `Reject
+              ( "model over admission quota",
+                [
+                  ("model_queued", string_of_int h.h_queued);
+                  ("queue_len", string_of_int qlen);
+                  ("effective_depth", string_of_int eff);
+                  ("weight", Printf.sprintf "%.2f" h.h_weight);
                 ] )
           end
           else
-            (* Weighted-fair quota: a model may queue up to its share of
-               the effective depth (eff * weight / total weight, at least
-               one slot). Past its share it may still borrow while the
-               whole queue is under [quota_borrow * eff] — slack capacity
-               belongs to whoever shows up — but once the queue is that
-               full, over-share traffic is shed so a flooding tenant
-               cannot starve the others' slots. *)
-            let over_quota =
-              t.total_weight > 0. && h.h_registered
-              &&
-              let share =
-                float_of_int eff *. h.h_weight /. t.total_weight
-              in
-              let share = max 1 (int_of_float (floor share)) in
-              h.h_queued >= share
-              && float_of_int qlen >= quota_borrow *. float_of_int eff
-            in
-            if over_quota then begin
-              t.s_overloaded <- t.s_overloaded + 1;
-              t.s_quota_shed <- t.s_quota_shed + 1;
-              h.h_shed <- h.h_shed + 1;
-              h.h_quota_shed <- h.h_quota_shed + 1;
-              Counters.quota_shed ();
-              Gc_observe.Labels.incr ~label:h.h_name "shed";
-              Gc_observe.Labels.incr ~label:h.h_name "quota_shed";
-              `Reject
-                ( "model over admission quota",
-                  [
-                    ("model_queued", string_of_int h.h_queued);
-                    ("queue_len", string_of_int qlen);
-                    ("effective_depth", string_of_int eff);
-                    ("weight", Printf.sprintf "%.2f" h.h_weight);
-                  ] )
-            end
-            else
-              (* Deadline feasibility: with a latency estimate in hand,
-                 refuse work we can predict we cannot finish in time. *)
-              let infeasible =
-                match (deadline_ms, ewma_ms h) with
-                | Some ms, Some ewma ->
-                    let predicted =
-                      ewma *. float_of_int (qlen + 1) *. safety_factor
-                    in
-                    if float_of_int ms < predicted then Some (ewma, predicted)
-                    else None
-                | _ -> None
-              in
-              match infeasible with
-              | Some (ewma, predicted) ->
-                  t.s_overloaded <- t.s_overloaded + 1;
-                  h.h_shed <- h.h_shed + 1;
-                  Gc_observe.Labels.incr ~label:h.h_name "shed";
-                  `Reject
-                    ( "deadline unmeetable",
-                      [
-                        ("ewma_ms", Printf.sprintf "%.2f" ewma);
-                        ("predicted_ms", Printf.sprintf "%.2f" predicted);
-                        ("queue_len", string_of_int qlen);
-                      ] )
-              | None ->
-                  t.s_admitted <- t.s_admitted + 1;
-                  h.h_admitted <- h.h_admitted + 1;
-                  h.h_queued <- h.h_queued + 1;
-                  h.h_pending <- h.h_pending + 1;
-                  Gc_observe.Labels.incr ~label:h.h_name "admitted";
-                  Queue.push rq t.queue;
-                  Condition.signal t.cv_work;
-                  `Admitted
-          end)
+            match infeasible () with
+            | Some (ewma, predicted) ->
+                `Reject
+                  ( "deadline unmeetable",
+                    [
+                      ("ewma_ms", Printf.sprintf "%.2f" ewma);
+                      ("predicted_ms", Printf.sprintf "%.2f" predicted);
+                      ("queue_len", string_of_int qlen);
+                    ] )
+            | None ->
+                t.st <- { t.st with admitted = t.st.admitted + 1 };
+                h.h_admitted <- h.h_admitted + 1;
+                h.h_queued <- h.h_queued + 1;
+                h.h_pending <- h.h_pending + 1;
+                Gc_observe.Labels.incr ~label:h.h_name "admitted";
+                Queue.push rq t.queue;
+                Condition.signal t.cv_work;
+                `Admitted
+        in
+        (match verdict with `Reject _ -> count_shed t h | `Admitted -> ());
+        verdict)
   in
   (match verdict with
   | `Admitted -> Counters.serve_admitted ()
-  | `Reject (reason, ctx) ->
-      let ctx =
-        ctx
-        @
-        match deadline_ms with
-        | Some ms -> [ ("deadline_ms", string_of_int ms) ]
-        | None -> []
-      in
-      (* "draining" rejections are not pre-counted under the lock *)
-      if reason = "server is draining" then
-        locked t.mu (fun () ->
-            t.s_overloaded <- t.s_overloaded + 1;
-            h.h_shed <- h.h_shed + 1;
-            Gc_observe.Labels.incr ~label:h.h_name "shed");
-      reject tk ~handle:h.h_name ~reason ~ctx);
-  tk
+  | `Reject (reason, ctx) -> shed ~site:"serve.admission" rq reason ctx);
+  rq.rq_ticket
 
 let call ?deadline_ms t h bindings = await (submit ?deadline_ms t h bindings)
 
@@ -1220,19 +1253,7 @@ let create ?config () =
       handles = [];
       sup_reg = None;
       next_handle = 0;
-      s_submitted = 0;
-      s_admitted = 0;
-      s_completed = 0;
-      s_ok = 0;
-      s_overloaded = 0;
-      s_shed_expired = 0;
-      s_timeouts = 0;
-      s_faults = 0;
-      s_budget_rejects = 0;
-      s_fallbacks = 0;
-      s_coalesced_batches = 0;
-      s_coalesced_tickets = 0;
-      s_quota_shed = 0;
+      st = no_stats;
       total_weight = 0.;
     }
   in
@@ -1257,7 +1278,7 @@ let create ?config () =
       Some
         (Supervise.register ~name:"serve"
            ~tick:(fun () -> tick_serve t)
-           ~status:(fun () -> serve_status t));
+           ~status:(fun () -> tier_health t));
   t
 
 let mk_handle ?name ?(weight = 1.) t target =
@@ -1280,16 +1301,10 @@ let mk_handle ?name ?(weight = 1.) t target =
       h_weight = weight;
       h_mu = Mutex.create ();
       h_ewma_ms = None;
-      h_consec_fb = 0;
-      h_state = Closed;
-      h_opened_at = 0.;
+      h_route = Route.initial;
       h_best_ms = None;
       h_lat_samples = 0;
-      h_crash_stamps = [];
-      h_quarantined = false;
-      h_quarantined_at = 0.;
       h_probe = None;
-      h_next_canary = 0.;
       h_queued = 0;
       h_pending = 0;
       h_submitted = 0;
@@ -1350,22 +1365,18 @@ let compile_and_register ?config ?name ?weight t g =
 (* {2 Rebinding (the registry's hot-swap / park / re-admit lever)} *)
 
 (* Swap the artifact behind a live handle. Serving state tied to the old
-   artifact resets (breaker, quarantine, crash stamps, canary probe); the
-   latency EWMA survives — it tracks the model's cost profile, which a
-   same-structure swap preserves, and one wrong estimate self-corrects in
-   a few completions either way. Queued requests execute against the new
+   artifact resets (route health — the same reset a canary re-admission
+   makes — and the canary's probe input); the latency EWMA survives — it
+   tracks the model's cost profile, which a same-structure swap
+   preserves, and one wrong estimate self-corrects in a few completions
+   either way. Queued requests execute against the new
    target: the registry swaps like-for-like (same graph I/O), so bindings
    stay valid. *)
 let set_target t h target =
-  ignore t;
   locked h.h_mu (fun () ->
       h.h_target <- target;
-      h.h_consec_fb <- 0;
-      h.h_state <- Closed;
-      h.h_crash_stamps <- [];
-      h.h_quarantined <- false;
-      h.h_probe <- None;
-      h.h_next_canary <- 0.)
+      h.h_probe <- None);
+  ignore (transition t.cfg h Route.Reset)
 
 let rebind t h core = set_target t h (poly_target (Core.as_poly core))
 let unbind t h = set_target t h None
@@ -1383,47 +1394,12 @@ let unregister t h =
 
 (* {2 Introspection} *)
 
-type stats = {
-  submitted : int;
-  admitted : int;
-  completed : int;
-  ok : int;
-  overloaded : int;
-  shed_expired : int;
-  timeouts : int;
-  faults : int;
-  budget_rejects : int;
-  fallbacks : int;
-  coalesced_batches : int;
-  coalesced_tickets : int;
-  quota_shed : int;
-  queue_len : int;
-  in_flight : int;
-  effective_depth : int;
-  draining : bool;
-  workers_live : int;
-  quarantined_handles : int;
-}
-
-let tier_health t = serve_status t
 
 let stats t =
   let quarantined = quarantined_handles t in
   locked t.mu (fun () ->
       {
-        submitted = t.s_submitted;
-        admitted = t.s_admitted;
-        completed = t.s_completed;
-        ok = t.s_ok;
-        overloaded = t.s_overloaded;
-        shed_expired = t.s_shed_expired;
-        timeouts = t.s_timeouts;
-        faults = t.s_faults;
-        budget_rejects = t.s_budget_rejects;
-        fallbacks = t.s_fallbacks;
-        coalesced_batches = t.s_coalesced_batches;
-        coalesced_tickets = t.s_coalesced_tickets;
-        quota_shed = t.s_quota_shed;
+        t.st with
         queue_len = Queue.length t.queue;
         in_flight = t.in_flight;
         effective_depth = effective_depth t.cfg;
@@ -1472,8 +1448,8 @@ let handle_stats t h =
         hs_queued = queued;
         hs_pending = pending;
         hs_bound = Option.is_some h.h_target;
-        hs_quarantined = h.h_quarantined;
-        hs_breaker = h.h_state;
+        hs_quarantined = Route.quarantined h.h_route.health;
+        hs_breaker = breaker_state_of h.h_route.health;
         hs_ewma_ms = h.h_ewma_ms;
       })
 
@@ -1500,12 +1476,8 @@ let drain ?(deadline_ms = 1000) t =
             List.iter
               (fun rq ->
                 rq.rq_handle.h_queued <- rq.rq_handle.h_queued - 1;
-                rq.rq_handle.h_pending <- rq.rq_handle.h_pending - 1;
-                rq.rq_handle.h_shed <- rq.rq_handle.h_shed + 1;
-                Gc_observe.Labels.incr ~label:rq.rq_handle.h_name "shed")
+                count_unserved t rq.rq_handle)
               rqs;
-            t.s_overloaded <- t.s_overloaded + List.length rqs;
-            t.s_completed <- t.s_completed + List.length rqs;
             rqs)
       in
       List.iter

@@ -35,18 +35,13 @@
     budget surface as typed [Resource_exhausted] outcomes naming the
     buffer and the budget.
 
-    {2 Circuit breaker and retries}
+    {2 Retries and route health}
 
     Transient [Runtime_fault]s are retried with exponential backoff and
     decorrelated jitter (deterministic per worker given the config seed),
     never sleeping past the request's deadline; exhausted retries degrade
-    to the reference interpreter. [breaker_threshold] {e consecutive}
-    fallbacks trip the handle's breaker open: requests then short-circuit
-    straight to the interpreter (counted, visible in
-    [Observe.Counters]) without burning retries on a compiled path that
-    keeps faulting. After [breaker_cooldown_ms] the next request becomes a
-    half-open probe of the compiled path; success closes the breaker,
-    another fallback re-opens it.
+    to the reference interpreter. Whether a request tries the compiled
+    artifact at all is up to the handle's route health ({!Route}).
 
     {2 Request coalescing (continuous batching)}
 
@@ -94,11 +89,14 @@ type config = {
   backoff_base_ms : float;  (** first backoff sleep (1 ms) *)
   backoff_cap_ms : float;  (** backoff ceiling (50 ms) *)
   breaker_threshold : int;
-      (** consecutive fallbacks that trip a handle's breaker
-          ([GC_SERVE_BREAKER_THRESHOLD], 5) *)
+      (** consecutive degradations that open a handle's route (5) *)
   breaker_cooldown_ms : float;
-      (** open-state dwell before a half-open probe
-          ([GC_SERVE_BREAKER_COOLDOWN_MS], 100 ms) *)
+      (** open-state dwell before a traffic probe (100 ms) *)
+  quarantine_threshold : int;
+      (** degradations within [quarantine_window_ms] that quarantine a
+          handle's artifact (8, above [breaker_threshold]; 0 disables) *)
+  quarantine_window_ms : float;  (** the fault-correlation window (2000) *)
+  canary_ms : float;  (** canary interval while quarantined (20) *)
   seed : int;  (** backoff-jitter determinism (0) *)
   coalesce_window_ms : float;
       (** gather window for request coalescing on poly handles
@@ -106,35 +104,83 @@ type config = {
   max_coalesce : int;
       (** most tickets packed into one batched execution
           ([GC_SERVE_MAX_COALESCE], 8) *)
-  retune_factor : float;
-      (** online retuning trigger: a handle whose latency EWMA exceeds
-          [retune_factor] times the best EWMA it has sustained is demoted —
-          its tuning-DB scope is dropped and background re-tunes queued
-          ([GC_SERVE_RETUNE_FACTOR], 2.0; 0 disables; requires autotuning
-          to be enabled, see [Gc_tuning.Autotune]) *)
   retune_min_samples : int;
       (** completions a handle must accumulate (since the last demotion)
-          before the retune detector may fire, so a cold-start outlier
-          cannot demote a schedule ([GC_SERVE_RETUNE_MIN_SAMPLES], 8) *)
+          before the online-retune detector may fire (8). With autotuning
+          enabled, the detector demotes a handle whose latency EWMA
+          exceeds twice the best it has sustained. *)
   supervision : Gc_supervise.policy;
       (** self-healing policy: worker heartbeat staleness, restart budget
-          and backoff, artifact quarantine and canary cadence (defaults
-          from the [GC_SERVE_SUPERVISE_*]-free {!Gc_supervise.default_policy},
-          i.e. the [GC_SUPERVISE_*] environment). With
-          [sup_enabled = false] the server runs exactly as before this
-          layer existed: no monitor registration, no respawn, no
+          and backoff (defaults from {!Gc_supervise.default_policy}, i.e.
+          the [GC_SUPERVISE_*] environment). With [sup_enabled = false]
+          there is no monitor registration, no respawn and no
           quarantine. *)
 }
 
 (** Defaults above, overridden by the [GC_SERVE_*] environment knobs. *)
 val default_config : unit -> config
 
+(** {1 Route health}
+
+    One state machine per handle sends requests to the compiled artifact
+    only while [Closed]. [breaker_threshold] consecutive degradations open
+    it; after [breaker_cooldown_ms] one request probes, and only a pass
+    closes it. With supervision on, [quarantine_threshold] degradations in
+    [quarantine_window_ms] open it quarantined: then only the supervision
+    tick's canary probes, every [canary_ms], and only a canary matching the
+    reference (or a rebind) closes it. DESIGN.md has the transition table.
+    {!step} is pure; the server applies it under the handle lock and
+    records each state change as a ["route"] {!Gc_observe.Events} entry. *)
+module Route : sig
+  type health =
+    | Closed
+    | Open of { retry_at : float; quarantined : bool }
+        (** [retry_at]: wall-clock seconds when a probe may start *)
+    | Probing of { quarantined : bool }  (** one probe in flight *)
+
+  (** A health plus the two trips' counts. *)
+  type t
+
+  val initial : t
+  val health : t -> health
+
+  type route = Compiled | Probe | Fallback
+
+  (** How a compiled run ended: passed, degraded to the interpreter (or
+      the canary diverged), or neither (timeout, non-fault error). *)
+  type verdict = Pass | Fail of string | No_verdict of string
+
+  type event =
+    | Admit  (** a dequeued request asks for its route *)
+    | Canary_due  (** the supervision tick offers a canary run *)
+    | Ran of verdict  (** a [Compiled]-route run ended *)
+    | Probed of verdict  (** the traffic probe ended *)
+    | Canary_ran of verdict  (** the canary ended *)
+    | Reset  (** rebind *)
+
+  (** The counter a transition bumps (same names in {!Gc_observe.Counters}). *)
+  type bump =
+    | Breaker_open | Breaker_probe | Breaker_close | Breaker_shortcircuit
+    | Quarantine | Canary_probe | Canary_readmission
+
+  type step = {
+    next : t;
+    route : route;  (** granted by [Admit] / [Canary_due], else [Fallback] *)
+    bumps : bump list;
+    reason : string;  (** why the health changed, when it did *)
+  }
+
+  val step : config -> now:float -> event -> t -> step
+  val quarantined : health -> bool
+  val health_to_string : health -> string
+end
+
 (** {1 Server and handles} *)
 
 type t
 
 (** A registered compilation plus its serving state (latency EWMA,
-    circuit breaker). It holds one {!Core.poly} — a static compile is one
+    route health). It holds one {!Core.poly} — a static compile is one
     with zero symbols — or nothing while parked. *)
 type handle
 
@@ -171,8 +217,9 @@ val compile_and_register :
 (** {1 Rebinding — the registry's hot-swap / park / re-admit lever}
 
     A handle's compiled target is swappable while the server runs. The
-    swap resets serving state tied to the old artifact (circuit breaker,
-    quarantine, crash stamps, canary probe) and keeps the latency EWMA —
+    swap resets serving state tied to the old artifact (route health —
+    the same reset a canary re-admission makes — and the canary's probe
+    input) and keeps the latency EWMA —
     it tracks the model's cost profile, which a like-for-like swap
     preserves. The caller must swap like-for-like (same graph I/O
     signature): queued requests execute against the new target with
@@ -229,6 +276,8 @@ val call :
 
 (** {1 Introspection} *)
 
+(** The handle's route health ({!Route.health}) viewed as a breaker:
+    [Closed], [Open], or [Half_open] while a probe is in flight. *)
 type breaker_state = Closed | Open | Half_open
 
 val breaker_state : handle -> breaker_state

@@ -20,6 +20,8 @@
 
 (** {2 Policy} *)
 
+(** Worker and pool healing. Artifact quarantine is part of a serve
+    handle's route health; its thresholds live in [Gc_serve.config]. *)
 type policy = {
   sup_enabled : bool;  (** [GC_SUPERVISE] (default on) *)
   heartbeat_ms : float;
@@ -42,18 +44,6 @@ type policy = {
   backoff_cap_ms : float;
       (** respawn backoff ceiling, [GC_SUPERVISE_BACKOFF_CAP_MS]
           (default 50) *)
-  quarantine_threshold : int;
-      (** crash-correlated faults within the window that quarantine a
-          compiled artifact, [GC_SUPERVISE_QUARANTINE_THRESHOLD]
-          (default 8 — above the breaker's default threshold: the breaker
-          is the fast, reversible first line, quarantine the heavier
-          escalation fed by its failing probes) *)
-  quarantine_window_ms : float;
-      (** the fault-correlation window,
-          [GC_SUPERVISE_QUARANTINE_WINDOW_MS] (default 2000) *)
-  canary_ms : float;
-      (** interval between canary re-executions of a quarantined artifact,
-          [GC_SUPERVISE_CANARY_MS] (default 20) *)
 }
 
 (** Policy from the environment (defaults above). Re-read on each call. *)

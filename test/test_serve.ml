@@ -376,6 +376,163 @@ let test_breaker_opens_and_recovers () =
         (snap2.Counters.breaker_closes > snap0.Counters.breaker_closes));
   Parallel.shutdown pool
 
+(* Regression: a probe that ended without a verdict (here a timeout) left
+   the breaker half-open, and every later request short-circuited until a
+   rebind. A verdict-less probe must re-open the breaker for another
+   cooldown, so the next request after it probes again. *)
+let test_probe_timeout_does_not_wedge () =
+  let b = mlp ~batch:64 ~hidden:[ 32; 32 ] () in
+  let pool = Parallel.create 4 in
+  let compile_config = { (Core.default_config ()) with Core.pool = Some pool } in
+  Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
+  with_server
+    ~config:(serve_config ~workers:1 ~breaker_threshold:5 ~breaker_cooldown_ms:50. ())
+    (fun server ->
+      let h =
+        match Serve.compile_and_register ~config:compile_config server b.Mlp.graph with
+        | Ok h -> h
+        | Error e -> Alcotest.failf "compile failed: %s" (Core.Errors.to_string e)
+      in
+      let call ?deadline_ms what =
+        let o = Serve.call ?deadline_ms server h b.Mlp.data in
+        (what, err_class o)
+      in
+      Alcotest.(check (pair string string)) "warmup" ("warmup", "ok") (call "warmup");
+      with_faults "worker:1" (fun () ->
+          for _ = 1 to 5 do
+            ignore (call "trip")
+          done);
+      Alcotest.(check bool) "breaker open" true (Serve.breaker_state h = Serve.Open);
+      Unix.sleepf 0.06;
+      let s0 = Counters.snapshot () in
+      Alcotest.(check (pair string string)) "probe times out"
+        ("probe", "timeout")
+        (with_faults ~slow_ms:300 "slow:1" (fun () -> call ~deadline_ms:100 "probe"));
+      Alcotest.(check bool) "a verdict-less probe re-opens the breaker" true
+        (Serve.breaker_state h = Serve.Open);
+      let s1 = Counters.snapshot () in
+      Alcotest.(check int) "no open counted for a verdict-less probe"
+        s0.Counters.breaker_opens s1.Counters.breaker_opens;
+      for _ = 1 to 5 do
+        Unix.sleepf 0.06;
+        ignore (call "after")
+      done;
+      let s2 = Counters.snapshot () in
+      Alcotest.(check bool) "the breaker probes again" true
+        (s2.Counters.breaker_probes > s1.Counters.breaker_probes);
+      Alcotest.(check bool) "and closes" true (Serve.breaker_state h = Serve.Closed))
+
+(* QCheck: the pure route-health transition function under random
+   thresholds and random event sequences (crash, compiled success, probe
+   and canary verdicts, clock advance, rebind, plus the admissions and
+   canary ticks that start probes). *)
+
+module Route = Serve.Route
+
+let route_seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some s -> s
+  | None ->
+      Random.self_init ();
+      Random.int 1_000_000_000
+
+let route_event i =
+  let verdict = function
+    | 0 -> Route.Pass
+    | 1 -> Fail "injected"
+    | _ -> No_verdict "injected"
+  in
+  match i with
+  | 0 -> `Ev Route.Admit
+  | 1 -> `Ev Canary_due
+  | 2 -> `Ev (Ran Pass)
+  | 3 -> `Ev (Ran (Fail "crash"))
+  | 4 | 5 | 6 -> `Ev (Probed (verdict (i - 4)))
+  | 7 | 8 | 9 -> `Ev (Canary_ran (verdict (i - 7)))
+  | 10 -> `Advance
+  | _ -> `Ev Reset
+
+let route_config (bt, cool, qt, win, canary, sup) =
+  {
+    (Serve.default_config ()) with
+    Serve.breaker_threshold = bt;
+    breaker_cooldown_ms = float_of_int cool;
+    quarantine_threshold = qt;
+    quarantine_window_ms = float_of_int win;
+    canary_ms = float_of_int canary;
+    supervision = { (Gc_supervise.default_policy ()) with sup_enabled = sup };
+  }
+
+(* From any state: wait out [retry_at], then let the matching probe pass. *)
+let recover cfg ~now (s : Route.t) =
+  let step ~now ev s = (Route.step cfg ~now ev s).Route.next in
+  match Route.health s with
+  | Closed -> s
+  | Probing { quarantined = false } -> step ~now (Probed Pass) s
+  | Probing { quarantined = true } -> step ~now (Canary_ran Pass) s
+  | Open { retry_at; quarantined } ->
+      let now = Float.max now retry_at +. 0.001 in
+      if quarantined then step ~now (Canary_ran Pass) (step ~now Canary_due s)
+      else step ~now (Probed Pass) (step ~now Admit s)
+
+let prop_route_health =
+  let params =
+    QCheck.(
+      tup6 (int_range 1 6) (int_range 1 200) (int_range 0 6)
+        (int_range 1 5_000) (int_range 1 200) bool)
+  in
+  let ops = QCheck.(list_of_size Gen.(0 -- 60) (pair (int_bound 11) (int_bound 300))) in
+  QCheck.Test.make ~count:500
+    ~name:"route health transitions"
+    (QCheck.pair params ops)
+    (fun (params, ops) ->
+      let cfg = route_config params in
+      let fail fmt =
+        QCheck.Test.fail_reportf ("seed %d: " ^^ fmt ^^ " (rerun with QCHECK_SEED=%d)")
+          route_seed
+      in
+      let now = ref 1000. and s = ref Route.initial in
+      let probes = ref 0 and closes = ref 0 in
+      List.iteri
+        (fun i (op, dt) ->
+          match route_event op with
+          | `Advance -> now := !now +. (float_of_int dt /. 1000.)
+          | `Ev ev ->
+              let before = !s in
+              let st = Route.step cfg ~now:!now ev before in
+              s := st.next;
+              List.iter
+                (function
+                  | Route.Breaker_probe -> incr probes
+                  | Breaker_close -> incr closes
+                  | _ -> ())
+                st.bumps;
+              let h0 = Route.health before and h1 = Route.health st.next in
+              let name = Route.health_to_string in
+              if (ev = Admit) && (st.route = Compiled) <> (h0 = Closed) then
+                fail "op %d: admitted %s route from %s" i
+                  (if st.route = Compiled then "a compiled" else "a non-compiled")
+                  (name h0) route_seed;
+              if ev <> Admit && st.route = Compiled then
+                fail "op %d: a non-admission granted the compiled route" i route_seed;
+              if
+                Route.quarantined h0 && (not (Route.quarantined h1))
+                && ev <> Canary_ran Pass && ev <> Reset
+              then fail "op %d: left quarantine for %s" i (name h1) route_seed;
+              (match (h0, h1, ev) with
+              | Probing { quarantined = false }, Probing _, Probed _
+              | Probing { quarantined = true }, Probing _, Canary_ran _ ->
+                  fail "op %d: a probe verdict left the handle probing" i route_seed
+              | _ -> ());
+              if !closes > !probes then
+                fail "op %d: %d closes > %d probes" i !closes !probes route_seed;
+              let r = recover cfg ~now:!now !s in
+              if Route.health r <> Closed then
+                fail "op %d: %s does not recover (reaches %s)" i (name h1)
+                  (name (Route.health r)) route_seed)
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Whole-model serving: BERT and DLRM, f32 and int8, through the same
    admission-controlled path as the unit workloads *)
@@ -646,6 +803,49 @@ let test_chaos_during_coalesce () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "post-chaos: %s" (Core.Errors.to_string e))
 
+(* Regression: coalescing checked only the breaker, so a quarantined
+   artifact whose breaker was still closed (intermittent faults, or a
+   breaker threshold above the quarantine threshold) kept serving
+   coalesced batches. A quarantined handle's traffic must all go to the
+   interpreter. *)
+let test_quarantine_blocks_coalescing () =
+  let b = poly_mlp ~hidden:[ 32; 32 ] () in
+  let pool = Parallel.create 4 in
+  Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
+  let p =
+    Core.compile_poly
+      ~config:{ (Core.default_config ()) with Core.pool = Some pool }
+      b.Mlp.graph
+  in
+  let cfg =
+    {
+      (coalesce_config ~window_ms:20. ()) with
+      Serve.breaker_threshold = 100;
+      quarantine_threshold = 2;
+      canary_ms = 60_000.;
+    }
+  in
+  with_server ~config:cfg (fun server ->
+      let h = Serve.register_poly server p in
+      (match Serve.call server h (poly_bindings b 64) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "warmup: %s" (Core.Errors.to_string e));
+      with_faults "worker:1" (fun () ->
+          for _ = 1 to 3 do
+            ignore (Serve.call server h (poly_bindings b 64))
+          done);
+      Alcotest.(check bool) "quarantined" true (Serve.is_quarantined h);
+      let before = (Serve.stats server).Serve.coalesced_batches in
+      let tickets =
+        List.init 8 (fun i -> Serve.submit server h (poly_bindings b (1 + (i mod 4))))
+      in
+      List.iter
+        (fun tk -> Alcotest.(check string) "served" "ok" (err_class (Serve.await tk)))
+        tickets;
+      Alcotest.(check bool) "still quarantined" true (Serve.is_quarantined h);
+      Alcotest.(check int) "no coalesced batch on a quarantined artifact" before
+        (Serve.stats server).Serve.coalesced_batches)
+
 (* Regression: the first request to a fresh poly handle compiles its
    bucket, and that call's latency is compile time. Fed into the latency
    EWMA, it made admission refuse every later short-deadline request as
@@ -744,6 +944,11 @@ let () =
         [
           Alcotest.test_case "opens and recovers" `Quick
             test_breaker_opens_and_recovers;
+          Alcotest.test_case "probe timeout does not wedge the breaker" `Quick
+            test_probe_timeout_does_not_wedge;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| route_seed |])
+            prop_route_health;
         ] );
       ( "models",
         [
@@ -767,6 +972,8 @@ let () =
             test_bucket_compile_not_in_ewma;
           Alcotest.test_case "tight deadline not coalesced" `Quick
             test_tight_deadline_not_coalesced;
+          Alcotest.test_case "quarantine blocks coalescing" `Quick
+            test_quarantine_blocks_coalescing;
           Alcotest.test_case "chaos during coalesce" `Slow
             test_chaos_during_coalesce;
           Alcotest.test_case "zero window violations soak" `Slow

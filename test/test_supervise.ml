@@ -27,27 +27,27 @@ let with_faults ?seed ?slow_ms spec f =
   Fault.configure ?seed ?slow_ms spec;
   Fun.protect ~finally:Fault.clear f
 
-let policy ?(restart_budget = 100) ?(restart_window_ms = 10_000.)
-    ?(quarantine_threshold = 8) ?(canary_ms = 10.) () =
+let policy ?(restart_budget = 100) ?(restart_window_ms = 10_000.) () =
   {
     (Supervise.default_policy ()) with
     Supervise.restart_budget;
     restart_window_ms;
     backoff_base_ms = 0.5;
     backoff_cap_ms = 2.;
-    quarantine_threshold;
-    quarantine_window_ms = 10_000.;
-    canary_ms;
   }
 
 let serve_config ?(queue_depth = 16) ?(workers = 2)
-    ?(breaker_threshold = 100) ?(supervision = policy ()) () =
+    ?(breaker_threshold = 100) ?(quarantine_threshold = 8) ?(canary_ms = 10.)
+    ?(supervision = policy ()) () =
   {
     (Serve.default_config ()) with
     Serve.queue_depth;
     workers;
     max_retries = 0;
     breaker_threshold;
+    quarantine_threshold;
+    quarantine_window_ms = 10_000.;
+    canary_ms;
     default_deadline_ms = None;
     backoff_base_ms = 0.5;
     backoff_cap_ms = 2.;
@@ -230,9 +230,7 @@ let test_quarantine_canary_readmission () =
   let pool = Parallel.create 4 in
   let pool_config = { (Core.default_config ()) with Core.pool = Some pool } in
   let cfg =
-    serve_config ~workers:1
-      ~supervision:(policy ~quarantine_threshold:2 ~canary_ms:10. ())
-      ()
+    serve_config ~workers:1 ~quarantine_threshold:2 ~canary_ms:10. ()
   in
   Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
   with_server ~config:cfg (fun server ->

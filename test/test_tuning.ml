@@ -380,7 +380,6 @@ let test_serve_demotion () =
       (Serve.default_config ()) with
       Serve.queue_depth = 4;
       workers = 1;
-      retune_factor = 2.0;
       retune_min_samples = 3;
     }
   in
